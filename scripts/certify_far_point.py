@@ -13,8 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from basinlab import (analyze_parabolic, classify_direction,
-                      corollary_d_closure, parse_polynomial, verify_theorem)
+from basinlab import (analyze_parabolic, corollary_d_closure, parse_polynomial,
+                      verify_theorem)
+from basinlab.errors import NotInBasin
 
 
 @dataclass
@@ -41,11 +42,11 @@ def main() -> int:
     cfg = RunSettings(a.poly, a.C, complex(a.q), a.kmax, a.lmax, a.depth, a.out)
 
     fm, _ = analyze_parabolic(parse_polynomial(cfg.poly))
-    probe = classify_direction(fm, cfg.q, 20000, 0.2)
-    if not probe.converged:
+    try:
+        cert = verify_theorem(fm, cfg.C, cfg.q, cfg.k_max, cfg.l_max, None)
+    except NotInBasin:
         print("reference point is not in any basin direction", file=sys.stderr)
         return 2
-    cert = verify_theorem(fm, cfg.C, cfg.q, cfg.k_max, cfg.l_max, probe.direction)
     closure = corollary_d_closure(fm, cert, cfg.depth)
 
     cfg.out.mkdir(parents=True, exist_ok=True)

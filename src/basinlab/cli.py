@@ -75,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lmax", type=int, default=10)
     sp.add_argument("--direction", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--no-membership", action="store_true",
-                    help="keep points regardless of basin classification")
 
     sp = sub.add_parser("pacman", help="certified wedge construction")
     add_poly(sp)
@@ -224,14 +222,10 @@ def _dispatch(parser, args, out_dir) -> int:
         if args.kmax < 0 or args.lmax < 0:
             parser.error("--kmax and --lmax must be nonnegative")
         qe = enumerate_Q(fm, _parse_complex(args.q), args.kmax, args.lmax,
-                         args.direction, tol=args.tol,
-                         membership=not args.no_membership)
+                         args.direction, tol=args.tol)
         os.makedirs(out_dir, exist_ok=True)
         qe.to_csv(os.path.join(out_dir, "q_points.csv"))
-        print(json.dumps({"n_points": len(qe.points),
-                          "excluded_undecided": qe.excluded_undecided,
-                          "excluded_other_direction": qe.excluded_other_direction},
-                         sort_keys=True))
+        print(json.dumps({"n_points": int(qe.value.size)}, sort_keys=True))
         return 0
 
     if cmd == "pacman":
@@ -276,14 +270,8 @@ def _dispatch(parser, args, out_dir) -> int:
             parser.error("--C must be positive")
         if args.kmax < 0 or args.lmax < 0:
             parser.error("--kmax and --lmax must be nonnegative")
-        q = _parse_complex(args.q)
-        direction = args.direction
-        if direction is None:
-            probe = classify_direction(fm, q, 20000, 0.2)
-            if not probe.converged:
-                parser.error("q does not classify into any direction; pass --direction")
-            direction = probe.direction
-        cert = verifier.verify_theorem(fm, args.C, q, args.kmax, args.lmax, direction)
+        cert = verifier.verify_theorem(fm, args.C, _parse_complex(args.q), args.kmax,
+                                       args.lmax, args.direction)
         os.makedirs(out_dir, exist_ok=True)
         _dump_json(cert.to_json_dict(), os.path.join(out_dir, "certificate.json"))
         sys.stdout.write(cert.to_table())

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import LinearMap, NoConvergence, NotInBasin, NotParabolic
+from .errors import LinearMap, NoConvergence, NotInBasin, NotParabolic, NumericOverflow
 
 # Labels used by the vectorized classifier. Nonnegative values are direction
 # indices; the negative values are terminal non-direction states.
@@ -25,6 +25,7 @@ LABEL_ESCAPED = -1
 
 DEDUP_QUANTUM = 1e-10
 DEFAULT_ROOT_TOL = 1e-10
+PROBE_STEPS = 20000  # step budget of the one classification of q per enumeration
 _TWO_PI = 2.0 * math.pi
 
 
@@ -49,8 +50,10 @@ class ParabolicMap:
 
     @property
     def escape_radius(self) -> float:
-        # Sufficient escape bound for monic-like polynomials; status trigger only.
-        return 2.0 * (1.0 + sum(abs(c) for c in self.coefficients))
+        # For |z| > R >= 1: |f(z)| >= |z|^(d-1) (|c_d| |z| - sum_{k<d} |c_k|) > 2|z|,
+        # so every orbit that leaves the disc of radius R escapes.
+        *lower, lead = self.coefficients
+        return max(1.0, (2.0 + sum(abs(c) for c in lower)) / abs(lead))
 
     def _desc(self):
         return tuple(reversed(self.coefficients))
@@ -185,8 +188,7 @@ def _default_gate(fm: ParabolicMap):
     return membership_petal(fm)
 
 
-def classify_direction(fm: ParabolicMap, z0: complex, n_max: int, tol: float,
-                       petal=None) -> OrbitRecord:
+def classify_direction(fm: ParabolicMap, z0: complex, n_max: int, tol: float) -> OrbitRecord:
     """Classify the orbit of z0 into an attraction direction.
 
     Converged(j) requires, at some step n <= n_max: the iterate sits inside the
@@ -197,7 +199,7 @@ def classify_direction(fm: ParabolicMap, z0: complex, n_max: int, tol: float,
     """
     if n_max < 100:
         raise ValueError("n_max must be at least 100")
-    gate = petal if petal is not None else _default_gate(fm)
+    gate = _default_gate(fm)
     vs = attraction_vectors(fm)
     v_args = np.array(vs.attraction_args)
     m, a = fm.m, fm.a
@@ -298,112 +300,112 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray, n_max: int,
 # Simultaneous polynomial root finding (Aberth iteration)
 # ---------------------------------------------------------------------------
 
-def _aberth_batch(coeffs_asc: np.ndarray, ws: np.ndarray, tol: float,
-                  max_iter: int = 400) -> np.ndarray:
-    """Roots of f(z) - w = 0 for every target w in ws, shape (len(ws), deg).
+def preimages_batch(fm: ParabolicMap, ws: np.ndarray, tol: float = DEFAULT_ROOT_TOL) -> np.ndarray:
+    """Row i holds the deg(f) solutions of f(z) = ws[i], sorted by (re, im).
 
-    Deterministic: fixed initial circle, perturbation restarts drawn from a
-    seeded generator keyed by the attempt number.
+    Aberth simultaneous iteration. Deterministic and row-independent: fixed
+    initial circle, perturbation restarts drawn from a seeded generator keyed
+    by the attempt number, so row i does not depend on the other targets.
     """
     ws = np.asarray(ws, dtype=complex).ravel()
-    deg = len(coeffs_asc) - 1
-    if deg < 1:
-        raise NoConvergence("map is constant")
-    lead = coeffs_asc[-1]
-    desc = np.array(coeffs_asc[::-1], dtype=complex)
-    ddesc = np.array([coeffs_asc[k] * k for k in range(deg, 0, -1)], dtype=complex)
+    deg = fm.degree
     B = ws.size
 
-    inner = float(np.max(np.abs(coeffs_asc[:-1])))
-    radius = 1.0 + (inner + np.abs(ws)) / abs(lead)
+    inner = max(abs(c) for c in fm.coefficients[:-1])
+    radius = 1.0 + (inner + np.abs(ws)) / abs(fm.coefficients[-1])
     angles = _TWO_PI * (np.arange(deg) + 0.37) / deg
     z = radius[:, None] * 0.9 * np.exp(1j * (angles[None, :] + 0.1))
-
-    def _p(zv):
-        r = np.zeros_like(zv)
-        for c in desc:
-            r = r * zv + c
-        return r - ws[:, None]
-
-    def _dp(zv):
-        r = np.zeros_like(zv)
-        for c in ddesc:
-            r = r * zv + c
-        return r
 
     tol_eff = min(tol, 1e-13) * np.maximum(1.0, np.abs(ws))
     best = np.full(B, np.inf)
     stale = np.zeros(B, dtype=np.int32)
     attempt = np.zeros(B, dtype=np.int32)
-    for _ in range(max_iter):
-        pv = _p(z)
+    rows = np.arange(B)  # rows still above tolerance; a converged row never moves again
+    for _ in range(400):
+        zr = z[rows]
+        pv = fm.eval_array(zr) - ws[rows, None]
         res = np.max(np.abs(pv), axis=1)
-        active = res > tol_eff
-        if not active.any():
+        active = res > tol_eff[rows]
+        if not active.all():
+            rows, zr, pv, res = rows[active], zr[active], pv[active], res[active]
+        if rows.size == 0:
             break
-        improved = res < 0.5 * best
-        best = np.minimum(best, res)
-        stale = np.where(improved, 0, stale + 1)
-        restart = active & (stale > 40)
+        improved = res < 0.5 * best[rows]
+        best[rows] = np.minimum(best[rows], res)
+        stale[rows] = np.where(improved, 0, stale[rows] + 1)
+        restart = stale[rows] > 40
         if restart.any():
-            attempt[restart] += 1
-            rng = np.random.default_rng(12345)
-            jitter = rng.standard_normal((B, deg)) + 1j * rng.standard_normal((B, deg))
-            z[restart] += 1e-3 * radius[restart, None] * jitter[restart] * attempt[restart, None]
-            stale[restart] = 0
-        dp = _dp(z)
+            attempt[rows[restart]] += 1
+            for n in np.unique(attempt[rows[restart]]):
+                sel = restart & (attempt[rows] == n)
+                rng = np.random.default_rng((12345, int(n)))
+                jitter = rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
+                zr[sel] += 1e-3 * radius[rows[sel], None] * jitter * n
+            stale[rows[restart]] = 0
+        dp = fm.eval_derivative_array(zr)
         dp = np.where(dp == 0, 1e-300, dp)
         newton = pv / dp
-        diff = z[:, :, None] - z[:, None, :]
+        diff = zr[:, :, None] - zr[:, None, :]
         np.einsum("bii->bi", diff)[:] = 1.0
         sums = np.sum(1.0 / diff, axis=2) - 1.0
         corr = newton / (1.0 - newton * sums)
         corr = np.where(np.isfinite(corr), corr, newton)
-        z = np.where(active[:, None], z - corr, z)
-    pv = _p(z)
-    res = np.max(np.abs(pv), axis=1)
+        z[rows] = zr - corr
+    res = np.max(np.abs(fm.eval_array(z) - ws[:, None]), axis=1)
     if np.any(res > np.maximum(tol, tol_eff)):
         raise NoConvergence(f"root residual {res.max():.3e} above tolerance {tol:.3e}")
 
     # One Newton polish, then collapse clusters tighter than 10*tol to their
-    # centroid so multiple roots report a single repeated value.
-    dp = _dp(z)
+    # centroid so multiple roots report a single repeated value. A vectorized
+    # pairwise screen picks the rows that hold a cluster at all.
+    dp = fm.eval_derivative_array(z)
     safe = np.abs(dp) > 1e-280
-    z = np.where(safe, z - _p(z) / np.where(safe, dp, 1.0), z)
+    z = np.where(safe, z - (fm.eval_array(z) - ws[:, None]) / np.where(safe, dp, 1.0), z)
     cluster = 10.0 * tol
-    if deg > 1:
-        for b in range(B):
-            row = z[b]
-            used = np.zeros(deg, dtype=bool)
-            for i in range(deg):
-                if used[i]:
-                    continue
-                near = np.abs(row - row[i]) < cluster
-                if near.sum() > 1:
-                    row[near] = row[near].mean()
-                used |= near
-            z[b] = row
-    for b in range(B):
-        zb = z[b]
-        z[b] = zb[np.lexsort((zb.imag, zb.real))]
-    return z
+    near = np.abs(z[:, :, None] - z[:, None, :]) < cluster
+    np.einsum("bii->bi", near)[:] = False
+    for b in np.flatnonzero(near.any(axis=(1, 2))):
+        row = z[b]
+        used = np.zeros(deg, dtype=bool)
+        for i in range(deg):
+            if used[i]:
+                continue
+            near_i = np.abs(row - row[i]) < cluster
+            if near_i.sum() > 1:
+                row[near_i] = row[near_i].mean()
+            used |= near_i
+    order = np.lexsort((z.imag, z.real), axis=-1)
+    return np.take_along_axis(z, order, axis=-1)
 
 
 def preimages(fm: ParabolicMap, w: complex, tol: float = DEFAULT_ROOT_TOL) -> list:
     """All deg(f) solutions of f(z) = w (with multiplicity), residual below tol."""
-    coeffs = np.array(fm.coefficients, dtype=complex)
-    roots = _aberth_batch(coeffs, np.array([w], dtype=complex), tol)[0]
-    return [complex(r) for r in roots]
-
-
-def preimages_batch(fm: ParabolicMap, ws: np.ndarray, tol: float = DEFAULT_ROOT_TOL) -> np.ndarray:
-    coeffs = np.array(fm.coefficients, dtype=complex)
-    return _aberth_batch(coeffs, ws, tol)
+    return [complex(r) for r in preimages_batch(fm, np.array([w], dtype=complex), tol)[0]]
 
 
 # ---------------------------------------------------------------------------
 # Truncated backward/forward orbit set Q
 # ---------------------------------------------------------------------------
+
+_KEY = np.dtype([("re", np.int64), ("im", np.int64)])
+_KEY_LIMIT = 2.0 ** 62
+
+
+def quantize(values: np.ndarray, quantum: float = DEDUP_QUANTUM) -> np.ndarray:
+    """Grid-cell keys (round(re/quantum), round(im/quantum)) as sortable int64 pairs.
+
+    Rounding is half-to-even, like Python's round(). Raises NumericOverflow
+    for a value whose key would not fit in int64.
+    """
+    re = np.rint(values.real / quantum)
+    im = np.rint(values.imag / quantum)
+    if not (np.all(np.abs(re) < _KEY_LIMIT) and np.all(np.abs(im) < _KEY_LIMIT)):
+        raise NumericOverflow(f"value outside the int64 range of the {quantum:g} grid")
+    keys = np.empty(values.shape, dtype=_KEY)
+    keys["re"] = re
+    keys["im"] = im
+    return keys
+
 
 @dataclass(frozen=True)
 class QPoint:
@@ -415,110 +417,113 @@ class QPoint:
 
 @dataclass
 class QEnumeration:
-    """Deduplicated truncation of the forward orbit plus its preimage trees."""
+    """Deduplicated truncation of the forward orbit plus its preimage trees.
+
+    Parallel arrays sorted by (k, l, re, im): value[i] satisfies
+    f^l[i](value[i]) = f^k[i](root) up to residual[i]. Every point lies in the
+    basin of `direction`, the direction root classified into.
+    """
 
     root: complex
-    points: list
+    direction: int
+    value: np.ndarray
+    k: np.ndarray
+    l: np.ndarray
+    residual: np.ndarray
     k_max: int
     l_max: int
     dedup_quantum: float = DEDUP_QUANTUM
-    membership_filtered: bool = True
-    excluded_undecided: int = 0
-    excluded_other_direction: int = 0
-    excluded_escaped: int = 0
     truncated: bool = False
 
+    @property
+    def points(self) -> list:
+        return [QPoint(v, k, l, r) for v, k, l, r in
+                zip(self.value.tolist(), self.k.tolist(), self.l.tolist(),
+                    self.residual.tolist())]
+
     def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.points], dtype=complex)
+        return self.value
 
     def counts_by_kl(self) -> dict:
-        out: dict = {}
-        for p in self.points:
-            out[(p.k, p.l)] = out.get((p.k, p.l), 0) + 1
-        return out
+        kl, counts = np.unique(self.k * (self.l_max + 1) + self.l, return_counts=True)
+        return {divmod(int(key), self.l_max + 1): int(n) for key, n in zip(kl, counts)}
 
     def to_csv(self, path) -> None:
         lines = ["re,im,k,l,residual"]
-        for p in self.points:
-            lines.append(f"{p.value.real!r},{p.value.imag!r},{p.k},{p.l},{p.residual!r}")
+        for v, k, l, r in zip(self.value.tolist(), self.k.tolist(), self.l.tolist(),
+                              self.residual.tolist()):
+            lines.append(f"{v.real!r},{v.imag!r},{k},{l},{r!r}")
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
 def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
-                direction: int, tol: float = DEFAULT_ROOT_TOL,
-                membership: bool = True, petal=None,
-                n_max_membership: int = 20000,
+                direction: int | None = None, tol: float = DEFAULT_ROOT_TOL,
                 point_cap: int = 10 ** 6) -> QEnumeration:
     """Breadth-first preimage expansion of each forward iterate of q.
 
-    Points are filtered to those whose forward orbit is absorbed by the
-    certified petal of the requested direction (flag `membership`); undecided
-    points are excluded and counted, never guessed. The result is sorted by
-    (k, l, re, im) and deduplicated on the quantized grid, so the output is
-    independent of expansion order.
+    q is classified once (classify_direction, PROBE_STEPS steps); NotInBasin
+    is raised unless it converges, and into `direction` when one is given.
+    Every enumerated point inherits that direction by provenance: the full
+    basin of an attracting direction is completely invariant, so f(z) = w
+    with w in the basin puts z in it too (the orbit of z is z followed by the
+    orbit of w), and by induction every f^{-l}(f^k(q)) lies in the basin of
+    q. No point is classified again.
+
+    Expansion runs level by level: one preimages_batch call solves level l
+    for every k. The result is sorted by (k, l, re, im) and deduplicated on
+    the quantized grid keeping first occurrences, so it is independent of
+    expansion order. When a level would take the raw count past point_cap,
+    that level is cut in (k, re, im) order, expansion stops and `truncated`
+    is set.
     """
-    gate = petal if petal is not None else _default_gate(fm)
-    probe = classify_direction(fm, q, max(1000, n_max_membership), 0.2, petal=gate)
-    if not probe.converged or probe.direction != direction:
-        raise NotInBasin(f"q={q} does not classify into direction {direction}")
+    probe = classify_direction(fm, q, PROBE_STEPS, 0.2)
+    if not probe.converged or direction not in (None, probe.direction):
+        target = "any direction" if direction is None else f"direction {direction}"
+        raise NotInBasin(f"q={q} does not classify into {target}")
 
     orbit = [complex(q)]
     for _ in range(k_max):
         orbit.append(fm(orbit[-1]))
+    orbit = np.array(orbit, dtype=complex)
 
-    raw: list[tuple[int, int, complex]] = []
-    excl_und = excl_dir = excl_esc = 0
+    frontier, frontier_k = orbit, np.arange(k_max + 1)
+    vals, ks, ls = [frontier], [frontier_k], [np.zeros(k_max + 1, dtype=int)]
+    count = frontier.size
     truncated = False
-    for k, xk in enumerate(orbit):
-        raw.append((k, 0, xk))
-        frontier = np.array([xk], dtype=complex)
-        for l in range(1, l_max + 1):
-            if frontier.size == 0 or truncated:
-                break
-            roots = preimages_batch(fm, frontier, tol).ravel()
-            if membership:
-                labels, _ = classify_batch(fm, roots, n_max_membership, petal=gate)
-                keep = labels == direction
-                excl_und += int(np.sum(labels == LABEL_UNDECIDED))
-                excl_esc += int(np.sum(labels == LABEL_ESCAPED))
-                excl_dir += int(np.sum((labels >= 0) & (labels != direction)))
-                roots = roots[keep]
-            roots = roots[np.lexsort((roots.imag, roots.real))]
-            for r in roots:
-                raw.append((k, l, complex(r)))
-            if len(raw) > point_cap:
-                truncated = True
-                raw = raw[:point_cap]
-            frontier = roots
+    for l in range(1, l_max + 1):
+        roots = preimages_batch(fm, frontier, tol).ravel()
+        roots_k = np.repeat(frontier_k, fm.degree)
+        if count + roots.size > point_cap:
+            keep = np.lexsort((roots.imag, roots.real, roots_k))[:max(point_cap - count, 0)]
+            roots, roots_k = roots[keep], roots_k[keep]
+            truncated = True
+        vals.append(roots)
+        ks.append(roots_k)
+        ls.append(np.full(roots.size, l))
+        count += roots.size
+        if truncated:
+            break
+        frontier, frontier_k = roots, roots_k
 
-    raw.sort(key=lambda t: (t[0], t[1], t[2].real, t[2].imag))
-    quantum = DEDUP_QUANTUM
-    seen: set = set()
-    kept: list[tuple[int, int, complex]] = []
-    for k, l, v in raw:
-        key = (round(v.real / quantum), round(v.imag / quantum))
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append((k, l, v))
+    vals, ks, ls = np.concatenate(vals), np.concatenate(ks), np.concatenate(ls)
+    order = np.lexsort((vals.imag, vals.real, ls, ks))
+    keys = quantize(vals[order])
+    by_key = np.lexsort((keys["im"], keys["re"]))  # stable: ties stay in (k, l, re, im) order
+    sorted_keys = keys[by_key]
+    first = by_key[np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]]
+    kept = order[np.sort(first)]
+    vals, ks, ls = vals[kept], ks[kept], ls[kept]
 
     # Independent residual verification: iterate each point forward l steps
     # and compare against the stored orbit target.
-    vals = np.array([v for (_, _, v) in kept], dtype=complex)
-    ls = np.array([l for (_, l, _) in kept])
-    ks = np.array([k for (k, _, _) in kept])
-    residuals = np.zeros(len(kept))
+    residuals = np.zeros(vals.size)
     cur = vals.copy()
-    for step in range(0, l_max + 1):
+    for step in range(l_max + 1):
         sel = ls == step
-        if sel.any():
-            targets = np.array([orbit[k] for k in ks[sel]], dtype=complex)
-            residuals[sel] = np.abs(cur[sel] - targets)
+        residuals[sel] = np.abs(cur[sel] - orbit[ks[sel]])
         if step < l_max:
             cur = fm.eval_array(cur)
 
-    pts = [QPoint(complex(v), int(k), int(l), float(r))
-           for (k, l, v), r in zip(kept, residuals)]
-    return QEnumeration(complex(q), pts, k_max, l_max, quantum, membership,
-                        excl_und, excl_dir, excl_esc, truncated)
+    return QEnumeration(complex(q), probe.direction, vals, ks, ls, residuals,
+                        k_max, l_max, DEDUP_QUANTUM, truncated)

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionFailed, NotInBasin, OutsideComparisonDomain
+from .errors import ConstructionFailed, OutsideComparisonDomain
 from .kobayashi import (DistanceBound, ModelDomain, bound_case1, bound_case2_horizontal,
                         dist_uv_arrays, kappa_infimum, kobayashi_disk_clearance)
-from .parabolic import (DEDUP_QUANTUM, ParabolicMap, QEnumeration, attraction_vectors,
-                        classify_direction, enumerate_Q, preimages_batch)
+from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q,
+                        preimages_batch, quantize)
 from .petals import PacManConstruction, construct_pacman
 
 _TWO_PI = 2.0 * math.pi
@@ -220,12 +220,6 @@ class TheoremCertificate:
     def n_certified(self) -> int:
         return int(self.certified_mask.sum())
 
-    def counts_by_kl(self) -> list:
-        out: dict = {}
-        for k, l in zip(self.point_k, self.point_l):
-            out[(int(k), int(l))] = out.get((int(k), int(l)), 0) + 1
-        return [[k, l, n] for (k, l), n in sorted(out.items())]
-
     def witness(self) -> dict:
         i = self.witness_index
         return {
@@ -249,12 +243,9 @@ class TheoremCertificate:
             "excluded": {
                 "outside_comparison_sector": self.excluded_outside,
                 "uncertifiable": self.uncertifiable,
-                "undecided_membership": self.enumeration.excluded_undecided,
-                "other_direction": self.enumeration.excluded_other_direction,
-                "escaped": self.enumeration.excluded_escaped,
             },
             "witness": self.witness() if self.n_certified else None,
-            "counts": self.counts_by_kl(),
+            "counts": [[k, l, n] for (k, l), n in self.enumeration.counts_by_kl().items()],
             "params": self.params.to_json_dict(),
             "cross_checks": {k: v for k, v in sorted(self.cross_checks.items())},
             "cross_check_violations": self.cross_check_violations,
@@ -275,15 +266,16 @@ class TheoremCertificate:
             f"runtime_ms={self.runtime_ms}",
             "  k  l  count  min_bound",
         ]
-        by_kl: dict = {}
-        for k, l, b, ok in zip(self.point_k, self.point_l, self.point_bounds,
-                               self.certified_mask):
-            if ok:
-                key = (int(k), int(l))
-                cnt, mn = by_kl.get(key, (0, math.inf))
-                by_kl[key] = (cnt + 1, min(mn, float(b)))
-        for (k, l), (cnt, mn) in sorted(by_kl.items()):
-            lines.append(f"  {k:2d} {l:2d} {cnt:6d}  {mn:.6f}")
+        ok = self.certified_mask
+        if ok.any():
+            # points are sorted by (k, l), so each level is one contiguous run
+            width = self.enumeration.l_max + 1
+            kl, start, counts = np.unique(self.point_k[ok] * width + self.point_l[ok],
+                                          return_index=True, return_counts=True)
+            mins = np.minimum.reduceat(self.point_bounds[ok], start)
+            for key, cnt, mn in zip(kl.tolist(), counts.tolist(), mins.tolist()):
+                k, l = divmod(key, width)
+                lines.append(f"  {k:2d} {l:2d} {cnt:6d}  {mn:.6f}")
         return "\n".join(lines) + "\n"
 
     def bounds_to_csv(self, path) -> None:
@@ -297,18 +289,17 @@ class TheoremCertificate:
 
 
 def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
-                   l_max: int = 10, direction: int = 0, *,
+                   l_max: int = 10, direction: int | None = 0, *,
                    z0_override: complex | None = None,
-                   root_tol: float = 1e-12,
-                   n_max_membership: int = 20000) -> TheoremCertificate:
+                   root_tol: float = 1e-12) -> TheoremCertificate:
     """Produce a certificate that min over the truncated Q of the exact
-    comparison-domain distance from z0 is at least C."""
-    t_start = time.perf_counter()
-    probe = classify_direction(fm, q, max(1000, n_max_membership), 0.2)
-    if not probe.converged or probe.direction != direction:
-        raise NotInBasin(f"q={q} does not classify into direction {direction}")
+    comparison-domain distance from z0 is at least C.
 
-    params = choose_parameters(fm, C, direction)
+    direction=None certifies the direction q classifies into; enumerate_Q
+    raises NotInBasin when q does not converge into the requested one."""
+    t_start = time.perf_counter()
+    qe = enumerate_Q(fm, q, k_max, l_max, direction, tol=root_tol)
+    params = choose_parameters(fm, C, qe.direction)
     if z0_override is not None:
         zr = z0_override * complex(math.cos(-params.rotation), math.sin(-params.rotation))
         params = TheoremParams(params.C, params.m, params.direction, params.theta0,
@@ -317,11 +308,7 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
                                params.comparison_domain, params.pacman, params.kappa,
                                params.kappa_constants)
 
-    qe = enumerate_Q(fm, q, k_max, l_max, direction, tol=root_tol,
-                     n_max_membership=n_max_membership)
-    values = qe.values()
-    ks = np.array([p.k for p in qe.points], dtype=np.int32)
-    ls = np.array([p.l for p in qe.points], dtype=np.int32)
+    values = qe.value
     dist, inside = certify_points(params, values)
 
     higher = fm.degree > fm.m + 1
@@ -355,7 +342,7 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
     passed = bool(certified.any() and math.isfinite(global_min)
                   and global_min >= C and uncertifiable == 0)
     runtime_ms = int(1000.0 * (time.perf_counter() - t_start))
-    return TheoremCertificate(params, complex(q), qe, values, ks, ls, dist,
+    return TheoremCertificate(params, complex(q), qe, values, qe.k, qe.l, dist,
                               certified, excluded_outside, uncertifiable,
                               global_min, witness, passed, crosses, violations,
                               interior_offaxis, runtime_ms)
@@ -419,30 +406,31 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
         if res >= residual_tol:
             report.residual_failures += 1
 
-    quantum = DEDUP_QUANTUM
-    lookup: dict = {}
-    for v, b, ok in zip(cert.point_values, cert.point_bounds, cert.certified_mask):
-        if ok:
-            lookup[(round(v.real / quantum), round(v.imag / quantum))] = float(b)
+    # Sorted grid keys of the certified points; every image is looked up in
+    # its own cell first, then in the 8 neighbouring cells.
+    ok = cert.certified_mask
+    keys = quantize(cert.point_values[ok])
+    by_key = np.lexsort((keys["im"], keys["re"]))
+    keys, bounds = keys[by_key], cert.point_bounds[ok][by_key]
     k_max = cert.enumeration.k_max
-    scope = cert.certified_mask & ~((cert.point_l == 0) & (cert.point_k == k_max))
-    report.frontier_skips = int(np.sum(cert.certified_mask & ~scope))
+    scope = ok & ~((cert.point_l == 0) & (cert.point_k == k_max))
+    report.frontier_skips = int(np.sum(ok & ~scope))
     images = fm.eval_array(cert.point_values[scope])
     _, img_inside = certify_points(cert.params, images)
     # The immediate component is forward invariant inside its sector, so a
     # point whose image leaves the sector was never in it and is out of scope.
     report.image_outside_sector = int(np.sum(~img_inside))
-    for img in images[img_inside]:
-        key0 = (round(img.real / quantum), round(img.imag / quantum))
-        hit = None
-        for dk in (0, -1, 1):
-            for di in (0, -1, 1):
-                hit = lookup.get((key0[0] + dk, key0[1] + di))
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
-        report.checked_images += 1
-        if hit is None or hit < cert.params.C - 1e-12:
-            report.image_misses += 1
+    img_keys = quantize(images[img_inside])
+    hit = np.full(img_keys.size, -np.inf)  # -inf: no certified point found yet
+    for dk in (0, -1, 1):
+        for di in (0, -1, 1):
+            todo = np.flatnonzero(hit == -np.inf)
+            cell = img_keys[todo]
+            cell["re"] += dk
+            cell["im"] += di
+            pos = np.minimum(np.searchsorted(keys, cell), keys.size - 1)
+            match = keys[pos] == cell
+            hit[todo[match]] = bounds[pos[match]]
+    report.checked_images = int(img_keys.size)
+    report.image_misses = int(np.sum(hit < cert.params.C - 1e-12))
     return report

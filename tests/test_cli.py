@@ -1,11 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import basinlab
+
+# The CLI runs in a temp dir, so a relative PYTHONPATH entry would not resolve;
+# put the absolute parent of the imported package first.
+_PKG_PARENT = str(Path(basinlab.__file__).resolve().parent.parent)
 
 
 def run_cli(args, cwd):
+    path = os.pathsep.join(filter(None, [_PKG_PARENT, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "basinlab.cli", *args],
-                          cwd=cwd, capture_output=True, text=True)
+                          cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestVectors:

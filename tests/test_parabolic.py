@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, preimages)
-from basinlab.errors import LinearMap, NotInBasin, NotParabolic
-from basinlab.parabolic import preimages_batch
+from basinlab.errors import LinearMap, NotInBasin, NotParabolic, NumericOverflow
+from basinlab.parabolic import classify_batch, preimages_batch, quantize
 
 
 class TestAnalyze:
@@ -85,6 +85,18 @@ class TestForwardOrbit:
         assert abs(rec.points[-1]) > fm.escape_radius
 
 
+class TestEscapeRadius:
+    def test_small_leading_coefficient(self):
+        # z + 0.01 z^2 is z + z^2 rescaled by 100: its filled Julia set reaches
+        # |z| ~ 200, and -50 (the image of -1/2) lies in the basin
+        fm, _ = analyze_parabolic([0, 1, 0.01])
+        assert fm.escape_radius == pytest.approx(300.0)
+        labels, steps = classify_batch(fm, np.array([-50.0]), 2000)
+        assert labels[0] == 0 and steps[0] == 206
+        rec = classify_direction(fm, -50.0, 10 ** 4, 1.0)
+        assert rec.converged and rec.direction == 0
+
+
 class TestClassifyDirection:
     def test_reference_point(self, quad_map):
         fm, _ = quad_map
@@ -152,6 +164,17 @@ class TestPreimages:
         assert roots[0] == pytest.approx(-0.5 - 0.5j, abs=1e-10)
         assert roots[1] == pytest.approx(-0.5 + 0.5j, abs=1e-10)
 
+    def test_batch_rows_match_single_solves(self, quad_map):
+        # -1/4 is the critical value: its double root is collapsed by the
+        # cluster path (radius 10 * tol)
+        fm, _ = quad_map
+        ws = np.array([-0.25, -0.5, 0.3 + 0.2j, 0j, -0.1875, 2.0 - 1.0j])
+        batch = preimages_batch(fm, ws, tol=1e-6)
+        assert batch[0, 0] == batch[0, 1]
+        for i in range(ws.size):
+            single = preimages_batch(fm, ws[i:i + 1], tol=1e-6)[0]
+            assert batch[i].tobytes() == single.tobytes()
+
     def test_residuals_below_tol(self, cubic_map):
         fm, _ = cubic_map
         ws = np.array([0.3j, -1.126j, 0.2 + 0.1j, -0.4])
@@ -206,6 +229,43 @@ class TestEnumerateQ:
         d = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(d, np.inf)
         assert d.min() > qe.dedup_quantum
+
+    @pytest.mark.parametrize("poly, q, depth", [("quad_map", -0.5, 4), ("cubic_map", 0.3j, 3)])
+    def test_points_inherit_direction(self, request, poly, q, depth):
+        # the basin is completely invariant, so no point needs its own label
+        fm, _ = request.getfixturevalue(poly)
+        qe = enumerate_Q(fm, q, depth, depth)
+        labels, _ = classify_batch(fm, qe.values(), 20000)
+        assert qe.direction == 0
+        assert np.all(labels == qe.direction)
+
+    def test_direction_resolved_by_probe(self, cubic_map):
+        fm, _ = cubic_map
+        assert enumerate_Q(fm, -0.3j, 1, 1).direction == 1
+        with pytest.raises(NotInBasin):
+            enumerate_Q(fm, -0.3j, 1, 1, 0)
+
+    def test_point_cap_truncates_to_subset(self, quad_map):
+        fm, _ = quad_map
+        full = enumerate_Q(fm, -0.5, 3, 4, 0)
+        capped = enumerate_Q(fm, -0.5, 3, 4, 0, point_cap=20)
+        assert capped.truncated and not full.truncated
+        assert capped.values().size <= 20
+        full_keys = set(quantize(full.values()).tolist())
+        assert set(quantize(capped.values()).tolist()) <= full_keys
+
+    def test_dedup_keeps_first_provenance(self, quad_map):
+        # q = -1/2 is a first preimage of f(q), and f(q) one of f^2(q): the
+        # copies that come first in (k, l) order are the ones kept
+        fm, _ = quad_map
+        qe = enumerate_Q(fm, -0.5, 2, 1, 0)
+        for value, kl in ((-0.5, (0, 0)), (-0.25, (1, 0))):
+            i = np.flatnonzero(np.abs(qe.values() - value) < 1e-9)
+            assert [(int(qe.k[j]), int(qe.l[j])) for j in i] == [kl]
+
+    def test_quantize_rejects_keys_beyond_int64(self):
+        with pytest.raises(NumericOverflow):
+            quantize(np.array([1e10 + 0j]))
 
     def test_csv_round_trip(self, quad_map, tmp_path):
         fm, _ = quad_map
