@@ -60,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_poly(sp)
     sp.add_argument("--z0", required=True)
     sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--classify", action="store_true")
-    sp.add_argument("--tol", type=float, default=0.05)
+    sp.add_argument("--classify", action="store_true",
+                    help="classify by petal absorption; the orbit stops at the deciding step")
 
     sp = sub.add_parser("preimages", help="all solutions of f(z) = w")
     add_poly(sp)
@@ -190,7 +190,7 @@ def _dispatch(parser, args, out_dir) -> int:
         if args.classify:
             if args.n < 100:
                 parser.error("--n must be at least 100 with --classify")
-            rec = classify_direction(fm, z0, args.n, args.tol)
+            rec = classify_direction(fm, z0, args.n)
         else:
             rec = forward_orbit(fm, z0, args.n)
         csv_path = os.path.join(out_dir, "orbit.csv")
@@ -202,7 +202,6 @@ def _dispatch(parser, args, out_dir) -> int:
         summary = {
             "status": rec.status.value,
             "direction": rec.direction,
-            "direction_error": rec.direction_error,
             "steps": len(rec.points) - 1,
         }
         _dump_json(summary, os.path.join(out_dir, "orbit.json"))

@@ -122,9 +122,7 @@ def density(domain: ModelDomain, p) -> float:
     power chart.
     """
     r, theta = domain.to_rtheta(p)
-    h = domain.width
-    v = math.pi * (theta - domain.arg_low) / h
-    return (math.pi / h) / (r * math.sin(v))
+    return float(density_arrays(domain, r, theta))
 
 
 def density_arrays(domain: ModelDomain, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -174,22 +172,22 @@ class DistanceBound:
         return out
 
 
-def _dist_uv(u1: float, v1: float, u2: float, v2: float) -> float:
-    s1, s2 = math.sin(v1), math.sin(v2)
-    if s1 <= 0.0 or s2 <= 0.0:
-        raise OutsideDomain("points must map strictly inside the half-plane")
-    du = u1 - u2
-    if abs(du) > 700.0:
-        raise NumericOverflow("radial separation too large for double precision")
-    x = (math.cosh(du) - math.cos(v1 - v2)) / (2.0 * s1 * s2)
-    if not math.isfinite(x) or x < 0.0:
-        raise NumericOverflow("distance argument left the representable range")
-    return 2.0 * math.asinh(math.sqrt(x))
-
-
 def dist_uv_arrays(u1, v1, u2, v2):
+    """Half-plane distance between chart log-coordinates, scalar or array."""
     x = (np.cosh(u1 - u2) - np.cos(v1 - v2)) / (2.0 * np.sin(v1) * np.sin(v2))
     return 2.0 * np.arcsinh(np.sqrt(x))
+
+
+def _dist_uv(u1: float, v1: float, u2: float, v2: float) -> float:
+    if math.sin(v1) <= 0.0 or math.sin(v2) <= 0.0:
+        raise OutsideDomain("points must map strictly inside the half-plane")
+    if abs(u1 - u2) > 700.0:
+        raise NumericOverflow("radial separation too large for double precision")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = float(dist_uv_arrays(u1, v1, u2, v2))
+    if not math.isfinite(d):
+        raise NumericOverflow("distance argument left the representable range")
+    return d
 
 
 def distance_exact(domain: ModelDomain, p1, p2) -> DistanceBound:
@@ -198,10 +196,6 @@ def distance_exact(domain: ModelDomain, p1, p2) -> DistanceBound:
     u1, v1 = chart_uv(domain, p1)
     u2, v2 = chart_uv(domain, p2)
     return DistanceBound(_dist_uv(u1, v1, u2, v2), "exact", "chart")
-
-
-def distance_value(domain: ModelDomain, p1, p2) -> float:
-    return distance_exact(domain, p1, p2).value
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import DegenerateAngle, NoConvergence, OriginInput
-from .parabolic import ParabolicMap, analyze_parabolic, attraction_vectors
+from .parabolic import ParabolicMap, attraction_vectors
 
 _TWO_PI = 2.0 * math.pi
 
@@ -65,7 +65,7 @@ def conjugated_map(fm: ParabolicMap, omega: complex, sheet: int = 0) -> complex:
 
 def _remainder_on_z(fm: ParabolicMap, z: np.ndarray) -> np.ndarray:
     m, a = fm.m, fm.a
-    fz = fm.eval_array(z)
+    fz = fm(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         rem = -1.0 / (m * a * fz ** m) + 1.0 / (m * a * z ** m) - 1.0
     rem = np.abs(rem)
@@ -281,7 +281,7 @@ def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
     for _ in range(n_steps):
         if not alive.any():
             break
-        z[alive] = fm.eval_array(z[alive])
+        z[alive] = fm(z[alive])
         za = z[alive]
         ra = np.abs(za)
         off = np.abs((np.angle(za) - axis + math.pi) % _TWO_PI - math.pi)
@@ -312,21 +312,14 @@ class MembershipPetal:
 
 
 @functools.lru_cache(maxsize=64)
-def _membership_petal_cached(coefficients: tuple) -> MembershipPetal:
-    fm, _ = analyze_parabolic(list(coefficients))
-    theta0 = min(0.5, 1.2 / fm.m)
-    pm = construct_pacman(fm, theta0)
-    return MembershipPetal(pm.rho2, pm.gap_omega, theta0, pm.R0_prime)
+def membership_petal(fm: ParabolicMap) -> MembershipPetal:
+    """Certified absorbing petal used for basin membership classification,
+    built once per map.
 
-
-def membership_petal(fm: ParabolicMap, theta0: float | None = None) -> MembershipPetal:
-    """Certified absorbing petal used for basin membership classification.
-
-    The default gap is wide (0.5, scaled down for larger m) so the entry radius
-    stays small and orbits resolve in few steps; any certified gap would do,
-    since absorption characterizes the basin direction.
+    The gap is wide (0.5, scaled down for larger m) so the entry radius stays
+    small and orbits resolve in few steps; any certified gap would do, since
+    absorption characterizes the basin direction.
     """
-    if theta0 is None:
-        return _membership_petal_cached(fm.coefficients)
+    theta0 = min(0.5, 1.2 / fm.m)
     pm = construct_pacman(fm, theta0)
     return MembershipPetal(pm.rho2, pm.gap_omega, theta0, pm.R0_prime)

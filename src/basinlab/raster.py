@@ -18,7 +18,6 @@ from scipy import ndimage
 
 from .errors import IoFailure, SeedNotInBasin
 from .parabolic import LABEL_ESCAPED, LABEL_UNDECIDED, ParabolicMap, classify_batch
-from .petals import membership_petal
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -71,7 +70,7 @@ def _thread_count() -> int:
 
 
 def classify_grid(fm: ParabolicMap, window: Window, resolution: int,
-                  n_max: int, petal=None) -> RasterGrid:
+                  n_max: int) -> RasterGrid:
     """Label every pixel center of a square-pixel grid over the window.
 
     `resolution` is the pixel count along the wider side; the other side gets
@@ -80,7 +79,6 @@ def classify_grid(fm: ParabolicMap, window: Window, resolution: int,
     """
     if resolution > 8192:
         raise ValueError("resolution capped at 8192")
-    gate = petal if petal is not None else membership_petal(fm)
     if window.width >= window.height:
         nx = resolution
         ny = max(1, round(resolution * window.height / window.width))
@@ -92,7 +90,7 @@ def classify_grid(fm: ParabolicMap, window: Window, resolution: int,
     z = xs[None, :] + 1j * ys[:, None]
 
     def _rows(block: np.ndarray) -> np.ndarray:
-        labels, _ = classify_batch(fm, block.ravel(), n_max, petal=gate)
+        labels, _ = classify_batch(fm, block.ravel(), n_max)
         return labels.reshape(block.shape)
 
     threads = _thread_count()

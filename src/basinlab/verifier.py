@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,18 +126,24 @@ def _candidate_lifts(params: TheoremParams, ang: np.ndarray) -> list:
     return out
 
 
-def certify_points(params: TheoremParams, values: np.ndarray):
+def _rotated_polar(params: TheoremParams, values) -> tuple[np.ndarray, np.ndarray]:
+    """Modulus and argument in [0, 2pi) of the values in the frame rotated by
+    -params.rotation, where the comparison domain sits."""
+    zeta = values * complex(math.cos(-params.rotation), math.sin(-params.rotation))
+    return np.abs(zeta), np.angle(zeta) % _TWO_PI
+
+
+def certify_points(params: TheoremParams, values: np.ndarray, polar):
     """Exact comparison-domain distance from z0 to every value.
 
+    `polar` is _rotated_polar(params, values), computed once by the caller.
     Returns (distances, inside_mask); points admitting several lifts into the
     domain get the minimum over lifts, which can only under-state the bound
     and therefore stays sound.
     """
     dom = params.comparison_domain
     scale = math.pi / dom.width
-    zeta = values * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-    r = np.abs(zeta)
-    ang = np.angle(zeta) % _TWO_PI
+    r, ang = polar
     z0n_rot = params.z0 * complex(math.cos(-params.rotation), math.sin(-params.rotation))
     r0 = abs(z0n_rot)
     th0 = math.atan2(z0n_rot.imag, z0n_rot.real) % _TWO_PI
@@ -164,17 +170,16 @@ def certify_points(params: TheoremParams, values: np.ndarray):
 
 def certify_pair(params: TheoremParams, q_tilde: complex) -> tuple[DistanceBound, dict]:
     """Certified bound for a single point plus the recorded cross-checks."""
-    d, ok = certify_points(params, np.array([q_tilde], dtype=complex))
+    values = np.array([q_tilde], dtype=complex)
+    polar = _rotated_polar(params, values)
+    d, ok = certify_points(params, values, polar)
     if not ok[0]:
         raise OutsideComparisonDomain(f"{q_tilde} admits no lift into the comparison domain")
     bound = DistanceBound(float(d[0]), "exact", "chart")
-    return bound, _cross_checks(params, np.array([q_tilde], dtype=complex))
+    return bound, _cross_checks(params, *polar)
 
 
-def _cross_checks(params: TheoremParams, values: np.ndarray) -> dict:
-    zeta = values * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-    r = np.abs(zeta)
-    ang = np.angle(zeta) % _TWO_PI
+def _cross_checks(params: TheoremParams, r: np.ndarray, ang: np.ndarray) -> dict:
     axis = math.pi / params.m
     on_ray = np.abs(((ang - axis + math.pi) % _TWO_PI) - math.pi) < 1e-9
     out = {
@@ -302,14 +307,11 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
     params = choose_parameters(fm, C, qe.direction)
     if z0_override is not None:
         zr = z0_override * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-        params = TheoremParams(params.C, params.m, params.direction, params.theta0,
-                               params.theta0_prime, params.epsilon, complex(z0_override),
-                               zr / abs(zr), params.theta_star, params.rotation,
-                               params.comparison_domain, params.pacman, params.kappa,
-                               params.kappa_constants)
+        params = replace(params, z0=complex(z0_override), z0_normalized=zr / abs(zr))
 
     values = qe.value
-    dist, inside = certify_points(params, values)
+    r, ang = polar = _rotated_polar(params, values)
+    dist, inside = certify_points(params, values, polar)
 
     higher = fm.degree > fm.m + 1
     excluded_outside = 0 if higher else int(np.sum(~inside))
@@ -326,12 +328,9 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
         global_min = math.inf
         witness = 0
 
-    crosses = _cross_checks(params, values)
-    zeta = values * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-    r = np.abs(zeta)
+    crosses = _cross_checks(params, r, ang)
     case1_mask = certified & (r >= params.pacman.R0_prime)
     violations = int(np.sum(dist[case1_mask] < crosses["case1"] - 1e-12))
-    ang = np.angle(zeta) % _TWO_PI
     case3_mask = certified & (ang < params.theta0_prime)
     violations += int(np.sum(dist[case3_mask] < params.C - 1e-9))
 
@@ -415,8 +414,8 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
     k_max = cert.enumeration.k_max
     scope = ok & ~((cert.point_l == 0) & (cert.point_k == k_max))
     report.frontier_skips = int(np.sum(ok & ~scope))
-    images = fm.eval_array(cert.point_values[scope])
-    _, img_inside = certify_points(cert.params, images)
+    images = fm(cert.point_values[scope])
+    _, img_inside = certify_points(cert.params, images, _rotated_polar(cert.params, images))
     # The immediate component is forward invariant inside its sector, so a
     # point whose image leaves the sector was never in it and is out of scope.
     report.image_outside_sector = int(np.sum(~img_inside))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from basinlab import (LiftedPoint, ModelDomain, bound_case1, bound_case2,
                       geodesic_polyline, kappa_infimum,
                       kobayashi_disk_clearance, path_length)
 from basinlab.errors import (BadRadii, NoClearance, NonPositiveImaginary,
-                             OutsideDomain, PathExitsDomain, SmallRealPart)
+                             NumericOverflow, OutsideDomain, PathExitsDomain,
+                             SmallRealPart)
 
 LN2 = math.log(2.0)
 H = ModelDomain.half_plane()
@@ -66,6 +68,17 @@ class TestDistance:
     def test_identity_is_zero(self):
         z = -2.0 + 0.7j
         assert distance_exact(SLIT, z, z).value == 0.0
+
+    def test_extreme_radial_separation_overflows(self):
+        with pytest.raises(NumericOverflow):
+            distance_exact(H, 1e-300j, 1e300j)
+
+    def test_overflow_near_boundary_raises_without_warning(self):
+        # |du| = 690 passes the radial guard; the tiny sines overflow the ratio.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflow):
+                distance_exact(H, complex(1e-150, 1e-160), complex(1e150, 1e140))
 
     def test_symmetry(self):
         for z1, z2 in random_slit_pairs(50, seed=2):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, preimages)
 from basinlab.errors import LinearMap, NotInBasin, NotParabolic, NumericOverflow
-from basinlab.parabolic import classify_batch, preimages_batch, quantize
+from basinlab.parabolic import (LABEL_ESCAPED, LABEL_UNDECIDED, classify_batch,
+                                 preimages_batch, quantize)
 
 
 class TestAnalyze:
@@ -42,6 +43,13 @@ class TestAnalyze:
             analyze_parabolic([0, 1])
         with pytest.raises(LinearMap):
             analyze_parabolic([0, 1, 0, 0])
+
+    def test_derivative_exact(self, quad_map):
+        fm, _ = quad_map
+        z = 0.3 + 0.7j
+        assert fm.derivative(z) == 2 * z + 1
+        zs = np.array([-0.5, 1e-3 - 2j, 1.25 + 0.1j, 0j])
+        assert np.array_equal(fm.derivative(zs), 2 * zs + 1)
 
     def test_parse_polynomial(self):
         assert parse_polynomial("0,1,0,1") == [0, 1, 0, 1]
@@ -93,39 +101,51 @@ class TestEscapeRadius:
         assert fm.escape_radius == pytest.approx(300.0)
         labels, steps = classify_batch(fm, np.array([-50.0]), 2000)
         assert labels[0] == 0 and steps[0] == 206
-        rec = classify_direction(fm, -50.0, 10 ** 4, 1.0)
+        rec = classify_direction(fm, -50.0, 10 ** 4)
         assert rec.converged and rec.direction == 0
 
 
 class TestClassifyDirection:
     def test_reference_point(self, quad_map):
         fm, _ = quad_map
-        rec = classify_direction(fm, -0.5, 10 ** 4, 0.01)
+        rec = classify_direction(fm, -0.5, 10 ** 4)
         assert rec.converged and rec.direction == 0
-        assert rec.direction_error < 0.01
         assert abs(rec.points[-1]) < 0.5
 
     def test_spiral_in(self, quad_map):
         fm, _ = quad_map
-        rec = classify_direction(fm, 0.01j, 10 ** 5, 0.05)
+        rec = classify_direction(fm, 0.01j, 10 ** 5)
         assert rec.converged and rec.direction == 0
 
     def test_two_petal_direction(self, cubic_map):
         fm, vs = cubic_map
-        rec = classify_direction(fm, 0.1j, 10 ** 5, 0.05)
+        rec = classify_direction(fm, 0.1j, 10 ** 5)
         assert rec.converged
         assert vs.attraction[rec.direction] == pytest.approx(1j / math.sqrt(2))
-        rec2 = classify_direction(fm, -0.1j, 10 ** 5, 0.05)
+        rec2 = classify_direction(fm, -0.1j, 10 ** 5)
         assert rec2.converged and rec2.direction != rec.direction
 
     def test_fixed_point_undecided(self, quad_map):
         fm, _ = quad_map
-        rec = classify_direction(fm, 0, 1000, 0.05)
+        rec = classify_direction(fm, 0, 1000)
         assert rec.status is OrbitStatus.UNDECIDED
 
     def test_escape_status(self, quad_map):
         fm, _ = quad_map
-        assert classify_direction(fm, 2.0, 1000, 0.05).status is OrbitStatus.ESCAPED
+        assert classify_direction(fm, 2.0, 1000).status is OrbitStatus.ESCAPED
+
+    @pytest.mark.parametrize("map_name,z0,n_max", [
+        ("quad_map", -0.5, 10 ** 4), ("quad_map", 0.01j, 10 ** 5),
+        ("cubic_map", 0.1j, 10 ** 5), ("cubic_map", -0.1j, 10 ** 5),
+        ("quad_map", 0, 1000), ("quad_map", 2.0, 1000)])
+    def test_agrees_with_classify_batch(self, request, map_name, z0, n_max):
+        fm, _ = request.getfixturevalue(map_name)
+        labels, steps = classify_batch(fm, np.array([z0], dtype=complex), n_max)
+        rec = classify_direction(fm, z0, n_max)
+        status = {LABEL_ESCAPED: OrbitStatus.ESCAPED, LABEL_UNDECIDED: OrbitStatus.UNDECIDED}
+        assert rec.status is status.get(int(labels[0]), OrbitStatus.CONVERGED)
+        assert rec.direction == (int(labels[0]) if rec.converged else None)
+        assert len(rec.points) == int(steps[0]) + 1
 
 
 class TestLemmaAsymptotics:
@@ -179,7 +199,7 @@ class TestPreimages:
         fm, _ = cubic_map
         ws = np.array([0.3j, -1.126j, 0.2 + 0.1j, -0.4])
         roots = preimages_batch(fm, ws, tol=1e-12)
-        res = np.abs(fm.eval_array(roots) - ws[:, None])
+        res = np.abs(fm(roots) - ws[:, None])
         assert res.max() < 1e-12
 
 

@@ -24,7 +24,7 @@ class TestClassifyGrid:
     def test_exact_fixed_point_undecided(self, quad_map):
         from basinlab import classify_direction
         fm, _ = quad_map
-        rec = classify_direction(fm, 0.0, 1000, 0.05)
+        rec = classify_direction(fm, 0.0, 1000)
         assert rec.status.value == "undecided"
 
     def test_conjugation_symmetry_exact(self, quad_grid):
