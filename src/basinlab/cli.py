@@ -1,35 +1,83 @@
 """Command-line front end for every pipeline stage.
 
-All numeric flags are validated before any computation starts; usage problems
-exit 2 with the grammar, computational failures exit 1 with a JSON error
-object on stderr, certificate failures exit 1. Identical argv (including
---seed) produce byte-identical file outputs: JSON is dumped with sorted keys
-and certificates omit wall-clock fields.
+Every flag is checked by its argparse type, and the checks that involve two
+flags run right after parsing, so a usage problem exits 2 with the grammar
+before any computation starts or any file is written. Computational failures
+exit 1 with a JSON error object on stderr, certificate failures exit 1.
+Identical argv (including --seed) produce byte-identical file outputs: JSON is
+dumped with sorted keys and certificates omit wall-clock fields.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import sys
 
 from . import kobayashi, petals, raster, verifier
-from .errors import BasinLabError, LinearMap, NotParabolic
+from .errors import BasinLabError
 from .parabolic import (analyze_parabolic, classify_direction, enumerate_Q,
                         forward_orbit, parse_polynomial, preimages)
 
 _OUT_DEFAULT = "out"
+_RES_MAX = 8192
+
+
+def _checked(convert, ok, requirement: str):
+    """argparse type: convert the text, then reject a value that fails `ok`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+    return parse
+
+
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_finite = _checked(float, math.isfinite, "a finite number")
+_count = _checked(int, lambda n: n >= 0, "a nonnegative integer")
+# step budgets: classify_batch counts steps in int32
+_budget = _checked(int, lambda n: 0 <= n < 2 ** 31, "an integer in [0, 2^31)")
+_resolution = _checked(int, lambda n: 0 < n <= _RES_MAX, f"an integer in [1, {_RES_MAX}]")
+_steps = _checked(int, lambda n: n >= 1, "a positive integer")
+_samples = _checked(int, lambda n: n >= 40, "an integer of at least 40")
+_pacman_angle = _checked(float, lambda t: 0.0 < t < math.pi / 6.0, "an angle in (0, pi/6)")
+_wedge_angle = _checked(float, lambda t: 0.0 < t < math.pi / 2.0, "an angle in (0, pi/2)")
 
 
 def _parse_complex(text: str) -> complex:
+    """argparse type: `re,im` or a bare real, both parts finite."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"cannot parse complex number from {text!r}")
+    try:
+        if len(parts) <= 2:
+            z = complex(*(float(p) for p in parts))
+            if cmath.isfinite(z):
+                return z
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite complex number re,im")
+
+
+def _parse_path(text: str) -> list:
+    """argparse type: at least two `;`-separated complex vertices."""
+    verts = [_parse_complex(v) for v in text.split(";")]
+    if len(verts) < 2:
+        raise argparse.ArgumentTypeError("a path needs at least two vertices")
+    return verts
+
+
+def _parse_map(text: str):
+    """argparse type for --poly: the analyzed map and its directions."""
+    try:
+        return analyze_parabolic(parse_polynomial(text))
+    except ValueError as exc:  # NotParabolic and LinearMap are ValueErrors too
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _dump_json(obj, path) -> None:
@@ -37,6 +85,12 @@ def _dump_json(obj, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _emit(payload: dict, out_dir: str, name: str) -> None:
+    """Write payload to out_dir/name and echo it on stdout."""
+    _dump_json(payload, os.path.join(out_dir, name))
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _json_complex(z: complex) -> list:
@@ -50,115 +104,118 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_poly(sp):
-        sp.add_argument("--poly", required=True,
+        sp.add_argument("--poly", required=True, type=_parse_map,
                         help="ascending coefficients, e.g. 0,1,1 for z+z^2")
+
+    def add_certificate(sp):
+        add_poly(sp)
+        sp.add_argument("--C", type=_positive, required=True)
+        sp.add_argument("--q", type=_parse_complex, required=True)
+        sp.add_argument("--kmax", type=_count, default=20)
+        sp.add_argument("--lmax", type=_count, default=10)
+        sp.add_argument("--direction", type=_count, default=None)
 
     sp = sub.add_parser("vectors", help="parabolic data and invariant directions")
     add_poly(sp)
 
     sp = sub.add_parser("orbit", help="forward orbit, optionally classified")
     add_poly(sp)
-    sp.add_argument("--z0", required=True)
-    sp.add_argument("--n", type=int, default=100)
+    sp.add_argument("--z0", type=_parse_complex, required=True)
+    sp.add_argument("--n", type=_budget, default=100)
     sp.add_argument("--classify", action="store_true",
                     help="classify by petal absorption; the orbit stops at the deciding step")
 
     sp = sub.add_parser("preimages", help="all solutions of f(z) = w")
     add_poly(sp)
-    sp.add_argument("--w", required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--w", type=_parse_complex, required=True)
+    sp.add_argument("--tol", type=_positive, default=1e-10)
 
     sp = sub.add_parser("enumerate-q", help="truncated forward/backward orbit set")
     add_poly(sp)
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--kmax", type=int, default=20)
-    sp.add_argument("--lmax", type=int, default=10)
-    sp.add_argument("--direction", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--q", type=_parse_complex, required=True)
+    sp.add_argument("--kmax", type=_count, default=20)
+    sp.add_argument("--lmax", type=_count, default=10)
+    sp.add_argument("--direction", type=_count, default=0)
+    sp.add_argument("--tol", type=_positive, default=1e-10)
 
     sp = sub.add_parser("pacman", help="certified wedge construction")
     add_poly(sp)
-    sp.add_argument("--theta0", type=float, required=True)
+    sp.add_argument("--theta0", type=_pacman_angle, required=True)
     sp.add_argument("--check-invariance", action="store_true")
-    sp.add_argument("--samples", type=int, default=2000)
-    sp.add_argument("--steps", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=_samples, default=2000)
+    sp.add_argument("--steps", type=_steps, default=500)
+    sp.add_argument("--seed", type=_count, default=0)
 
     sp = sub.add_parser("distance", help="metric values on a model domain")
     sp.add_argument("--domain", choices=["halfplane", "slit", "sector", "double"],
                     required=True)
-    sp.add_argument("--lo", type=float, default=0.0)
-    sp.add_argument("--hi", type=float, default=0.0)
-    sp.add_argument("--z1", required=True)
-    sp.add_argument("--z2", required=True)
-    sp.add_argument("--path", default=None,
+    sp.add_argument("--lo", type=_finite, default=0.0)
+    sp.add_argument("--hi", type=_finite, default=0.0)
+    sp.add_argument("--z1", type=_parse_complex, required=True)
+    sp.add_argument("--z2", type=_parse_complex, required=True)
+    sp.add_argument("--path", type=_parse_path, default=None,
                     help="semicolon-separated polyline vertices re,im;re,im;...")
 
     sp = sub.add_parser("verify", help="far-point certificate")
-    add_poly(sp)
-    sp.add_argument("--C", type=float, required=True)
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--kmax", type=int, default=20)
-    sp.add_argument("--lmax", type=int, default=10)
-    sp.add_argument("--direction", type=int, default=None)
+    add_certificate(sp)
     sp.add_argument("--dump-bounds", action="store_true",
                     help="also write per-point bounds CSV")
 
     sp = sub.add_parser("closure", help="preimage closure check on a certificate")
-    add_poly(sp)
-    sp.add_argument("--C", type=float, required=True)
-    sp.add_argument("--q", required=True)
-    sp.add_argument("--kmax", type=int, default=20)
-    sp.add_argument("--lmax", type=int, default=10)
-    sp.add_argument("--direction", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=3)
+    add_certificate(sp)
+    sp.add_argument("--depth", type=_count, default=3)
 
     sp = sub.add_parser("render", help="basin raster to a PPM image")
     add_poly(sp)
-    sp.add_argument("--center", default="0,0")
-    sp.add_argument("--width", type=float, required=True)
-    sp.add_argument("--height", type=float, default=None)
-    sp.add_argument("--res", type=int, default=512)
-    sp.add_argument("--nmax", type=int, default=2000)
-    sp.add_argument("--component-seed", default=None)
+    sp.add_argument("--center", type=_parse_complex, default="0,0")
+    sp.add_argument("--width", type=_positive, required=True)
+    sp.add_argument("--height", type=_positive, default=None)
+    sp.add_argument("--res", type=_resolution, default=512)
+    sp.add_argument("--nmax", type=_budget, default=2000)
+    sp.add_argument("--component-seed", type=_parse_complex, default=None)
 
     sp = sub.add_parser("prop3", help="wedge disjointness report")
     add_poly(sp)
-    sp.add_argument("--R", type=float, required=True)
-    sp.add_argument("--theta0", type=float, required=True)
-    sp.add_argument("--res", type=int, default=512)
-    sp.add_argument("--nmax", type=int, default=10000)
+    sp.add_argument("--R", type=_positive, required=True)
+    sp.add_argument("--theta0", type=_wedge_angle, required=True)
+    sp.add_argument("--res", type=_resolution, default=512)
+    sp.add_argument("--nmax", type=_budget, default=10000)
     sp.add_argument("--stability-check", action="store_true",
                     help="also run at doubled resolution")
     return p
 
 
-def _analyze_or_usage(parser: argparse.ArgumentParser, text: str):
-    try:
-        coeffs = parse_polynomial(text)
-        return analyze_parabolic(coeffs)
-    except (ValueError, NotParabolic, LinearMap) as exc:
-        parser.error(str(exc))
+def _check_combinations(parser: argparse.ArgumentParser, args) -> None:
+    """The checks that involve two flags; argparse has checked each flag alone.
+
+    On distance this also replaces args.domain by the ModelDomain it names."""
+    if args.command == "orbit" and args.classify and args.n < 100:
+        parser.error("--n must be at least 100 with --classify")
+    if args.command == "prop3" and args.stability_check and 2 * args.res > _RES_MAX:
+        parser.error(f"--stability-check doubles --res, which must stay <= {_RES_MAX}")
+    if args.command == "distance":
+        try:
+            args.domain = _domain(args.domain, args.lo, args.hi)
+        except ValueError as exc:
+            parser.error(f"--lo/--hi: {exc}")
 
 
-def _domain_from_args(parser, args) -> kobayashi.ModelDomain:
-    if args.domain == "halfplane":
+def _domain(name: str, lo: float, hi: float) -> kobayashi.ModelDomain:
+    if name == "halfplane":
         return kobayashi.ModelDomain.half_plane()
-    if args.domain == "slit":
+    if name == "slit":
         return kobayashi.ModelDomain.slit_plane()
-    if args.hi <= args.lo:
-        parser.error("--hi must exceed --lo")
-    if args.domain == "sector":
-        return kobayashi.ModelDomain.sector(args.lo, args.hi)
-    return kobayashi.ModelDomain.double_sector(args.lo, args.hi)
+    if name == "sector":
+        return kobayashi.ModelDomain.sector(lo, hi)
+    return kobayashi.ModelDomain.double_sector(lo, hi)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out_dir = args.out_dir
+    _check_combinations(parser, args)
     try:
-        return _dispatch(parser, args, out_dir)
+        return _dispatch(args)
     except BasinLabError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr, sort_keys=True)
@@ -166,71 +223,54 @@ def main(argv=None) -> int:
         return 1
 
 
-def _dispatch(parser, args, out_dir) -> int:
-    cmd = args.command
+def _dispatch(args) -> int:
+    cmd, out_dir = args.command, args.out_dir
 
     if cmd == "vectors":
-        fm, vs = _analyze_or_usage(parser, args.poly)
-        payload = {
+        fm, vs = args.poly
+        _emit({
             "m": fm.m,
             "a": _json_complex(fm.a),
             "degree": fm.degree,
             "attraction": [_json_complex(v) for v in vs.attraction],
             "repulsion": [_json_complex(v) for v in vs.repulsion],
-        }
-        _dump_json(payload, os.path.join(out_dir, "vectors.json"))
-        print(json.dumps(payload, sort_keys=True))
+        }, out_dir, "vectors.json")
         return 0
 
     if cmd == "orbit":
-        fm, _ = _analyze_or_usage(parser, args.poly)
-        z0 = _parse_complex(args.z0)
-        if args.n < 0:
-            parser.error("--n must be nonnegative")
+        fm, _ = args.poly
         if args.classify:
-            if args.n < 100:
-                parser.error("--n must be at least 100 with --classify")
-            rec = classify_direction(fm, z0, args.n)
+            rec = classify_direction(fm, args.z0, args.n)
         else:
-            rec = forward_orbit(fm, z0, args.n)
-        csv_path = os.path.join(out_dir, "orbit.csv")
+            rec = forward_orbit(fm, args.z0, args.n)
         os.makedirs(out_dir, exist_ok=True)
-        with open(csv_path, "w", encoding="ascii") as fh:
+        with open(os.path.join(out_dir, "orbit.csv"), "w", encoding="ascii") as fh:
             fh.write("step,re,im\n")
             for i, z in enumerate(rec.points):
                 fh.write(f"{i},{z.real!r},{z.imag!r}\n")
-        summary = {
+        _emit({
             "status": rec.status.value,
             "direction": rec.direction,
             "steps": len(rec.points) - 1,
-        }
-        _dump_json(summary, os.path.join(out_dir, "orbit.json"))
-        print(json.dumps(summary, sort_keys=True))
+        }, out_dir, "orbit.json")
         return 0
 
     if cmd == "preimages":
-        fm, _ = _analyze_or_usage(parser, args.poly)
-        roots = preimages(fm, _parse_complex(args.w), args.tol)
-        payload = {"roots": [_json_complex(r) for r in roots]}
-        _dump_json(payload, os.path.join(out_dir, "preimages.json"))
-        print(json.dumps(payload, sort_keys=True))
+        fm, _ = args.poly
+        roots = preimages(fm, args.w, args.tol)
+        _emit({"roots": [_json_complex(r) for r in roots]}, out_dir, "preimages.json")
         return 0
 
     if cmd == "enumerate-q":
-        fm, _ = _analyze_or_usage(parser, args.poly)
-        if args.kmax < 0 or args.lmax < 0:
-            parser.error("--kmax and --lmax must be nonnegative")
-        qe = enumerate_Q(fm, _parse_complex(args.q), args.kmax, args.lmax,
-                         args.direction, tol=args.tol)
+        fm, _ = args.poly
+        qe = enumerate_Q(fm, args.q, args.kmax, args.lmax, args.direction, tol=args.tol)
         os.makedirs(out_dir, exist_ok=True)
         qe.to_csv(os.path.join(out_dir, "q_points.csv"))
         print(json.dumps({"n_points": int(qe.value.size)}, sort_keys=True))
         return 0
 
     if cmd == "pacman":
-        fm, _ = _analyze_or_usage(parser, args.poly)
-        if not (0.0 < args.theta0 < math.pi / 6.0):
-            parser.error("--theta0 must lie in (0, pi/6)")
+        fm, _ = args.poly
         pm = petals.construct_pacman(fm, args.theta0)
         payload = pm.to_json_dict()
         if args.check_invariance:
@@ -240,65 +280,46 @@ def _dispatch(parser, args, out_dir) -> int:
                                      "worst_margin": rep.worst_margin,
                                      "samples": rep.samples,
                                      "n_steps": rep.n_steps}
-        _dump_json(payload, os.path.join(out_dir, "pacman.json"))
-        print(json.dumps(payload, sort_keys=True))
+        _emit(payload, out_dir, "pacman.json")
         return 0
 
     if cmd == "distance":
-        dom = _domain_from_args(parser, args)
+        dom = args.domain
+        pts = [args.z1, args.z2, *(args.path or [])]
         if dom.tag == "double_sector":
-            z1 = kobayashi.LiftedPoint.from_complex(_parse_complex(args.z1), dom.arg_low)
-            z2 = kobayashi.LiftedPoint.from_complex(_parse_complex(args.z2), dom.arg_low)
-        else:
-            z1, z2 = _parse_complex(args.z1), _parse_complex(args.z2)
+            pts = [kobayashi.LiftedPoint.from_complex(p, dom.arg_low) for p in pts]
+        z1, z2, *verts = pts
         bound = kobayashi.distance_exact(dom, z1, z2)
         payload = {"distance": bound.to_json_dict(),
                    "domain": dom.to_json_dict()}
-        if args.path:
-            verts = [_parse_complex(v) for v in args.path.split(";")]
-            if dom.tag == "double_sector":
-                verts = [kobayashi.LiftedPoint.from_complex(v, dom.arg_low) for v in verts]
+        if verts:
             payload["path_length"] = kobayashi.path_length(dom, verts)
-        _dump_json(payload, os.path.join(out_dir, "distance.json"))
-        print(json.dumps(payload, sort_keys=True))
+        _emit(payload, out_dir, "distance.json")
         return 0
 
     if cmd in ("verify", "closure"):
-        fm, _ = _analyze_or_usage(parser, args.poly)
-        if args.C <= 0:
-            parser.error("--C must be positive")
-        if args.kmax < 0 or args.lmax < 0:
-            parser.error("--kmax and --lmax must be nonnegative")
-        cert = verifier.verify_theorem(fm, args.C, _parse_complex(args.q), args.kmax,
-                                       args.lmax, args.direction)
-        os.makedirs(out_dir, exist_ok=True)
+        fm, _ = args.poly
+        cert = verifier.verify_theorem(fm, args.C, args.q, args.kmax, args.lmax,
+                                       args.direction)
         _dump_json(cert.to_json_dict(), os.path.join(out_dir, "certificate.json"))
         sys.stdout.write(cert.to_table())
         if cmd == "verify" and args.dump_bounds:
             cert.bounds_to_csv(os.path.join(out_dir, "bounds.csv"))
         if cmd == "closure":
-            if args.depth < 0:
-                parser.error("--depth must be nonnegative")
             rep = verifier.corollary_d_closure(fm, cert, args.depth)
-            _dump_json(rep.to_json_dict(), os.path.join(out_dir, "closure.json"))
-            print(json.dumps(rep.to_json_dict(), sort_keys=True))
+            _emit(rep.to_json_dict(), out_dir, "closure.json")
             ok = (rep.status == "ok" and rep.residual_failures == 0
                   and rep.image_misses == 0)
             return 0 if (cert.passed and ok) else 1
         return 0 if cert.passed else 1
 
     if cmd == "render":
-        fm, _ = _analyze_or_usage(parser, args.poly)
-        center = _parse_complex(args.center)
+        fm, _ = args.poly
         height = args.height if args.height is not None else args.width
-        if args.width <= 0 or height <= 0:
-            parser.error("--width/--height must be positive")
-        if args.res <= 0 or args.res > 8192:
-            parser.error("--res must lie in (0, 8192]")
-        window = raster.Window(center, args.width, height)
+        window = raster.Window(args.center, args.width, height)
         grid = raster.classify_grid(fm, window, args.res, args.nmax)
         if args.component_seed is not None:
-            raster.immediate_component(grid, _parse_complex(args.component_seed))
+            raster.immediate_component(grid, args.component_seed)
         os.makedirs(out_dir, exist_ok=True)
         raster.write_image(grid, os.path.join(out_dir, "basin.ppm"))
         counts = grid.label_counts()
@@ -310,33 +331,26 @@ def _dispatch(parser, args, out_dir) -> int:
                          sort_keys=True))
         return 0
 
-    if cmd == "prop3":
-        fm, _ = _analyze_or_usage(parser, args.poly)
-        if args.R <= 0 or not (0 < args.theta0 < math.pi / 2):
-            parser.error("need R > 0 and theta0 in (0, pi/2)")
-        rep = raster.prop3_disjointness(fm, args.R, args.theta0, args.res, args.nmax)
-        payload = {
-            "disjoint": rep.disjoint,
-            "overlap_pixels": rep.overlap_pixels,
-            "s1_pixels": rep.s1_pixels,
-            "s2_pixels": rep.s2_pixels,
-            "resolution": rep.resolution,
-            "basin_pixels": rep.basin_pixels,
-            "undecided_pixels": rep.undecided_pixels,
-        }
-        if args.stability_check:
-            rep2 = raster.prop3_disjointness(fm, args.R, args.theta0,
-                                             2 * args.res, args.nmax)
-            payload["doubled"] = {"disjoint": rep2.disjoint,
-                                  "overlap_pixels": rep2.overlap_pixels,
-                                  "resolution": rep2.resolution}
-            payload["stable"] = rep.disjoint == rep2.disjoint
-        _dump_json(payload, os.path.join(out_dir, "prop3.json"))
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-
-    parser.error(f"unknown command {cmd!r}")
-    return 2
+    # prop3, the last subcommand
+    fm, _ = args.poly
+    rep = raster.prop3_disjointness(fm, args.R, args.theta0, args.res, args.nmax)
+    payload = {
+        "disjoint": rep.disjoint,
+        "overlap_pixels": rep.overlap_pixels,
+        "s1_pixels": rep.s1_pixels,
+        "s2_pixels": rep.s2_pixels,
+        "resolution": rep.resolution,
+        "basin_pixels": rep.basin_pixels,
+        "undecided_pixels": rep.undecided_pixels,
+    }
+    if args.stability_check:
+        rep2 = raster.prop3_disjointness(fm, args.R, args.theta0, 2 * args.res, args.nmax)
+        payload["doubled"] = {"disjoint": rep2.disjoint,
+                              "overlap_pixels": rep2.overlap_pixels,
+                              "resolution": rep2.resolution}
+        payload["stable"] = rep.disjoint == rep2.disjoint
+    _emit(payload, out_dir, "prop3.json")
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,10 +37,6 @@ class SmallRealPart(BasinLabError, ValueError):
     """Axis-crossing bound needs the normalized point away from the axis."""
 
 
-class NoClearance(BasinLabError, ValueError):
-    """No positive wedge angle avoids the hyperbolic disk."""
-
-
 class OutsideDomain(BasinLabError, ValueError):
     """Point is not strictly inside the model domain."""
 
@@ -59,6 +55,10 @@ class ConstructionFailed(BasinLabError, RuntimeError):
 
 class OutsideComparisonDomain(BasinLabError, ValueError):
     """Enumerated point cannot be certified on the comparison domain."""
+
+
+class PointCapExceeded(BasinLabError, RuntimeError):
+    """The enumeration of Q stopped at its point cap before reaching (k_max, l_max)."""
 
 
 class NotInBasin(BasinLabError, ValueError):

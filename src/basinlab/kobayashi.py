@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import (BadRadii, NoClearance, NonPositiveImaginary,
-                     NumericOverflow, OutsideDomain, PathExitsDomain,
-                     SmallRealPart)
+from .errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
+                     OutsideDomain, PathExitsDomain, SmallRealPart)
 
 _TWO_PI = 2.0 * math.pi
 _ANG_GUARD = 1e-12  # relative boundary-proximity guard on the argument
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PATH_RTOL, _PATH_ATOL = 1e-11, 1e-12  # agreement of successive quadrature totals
+_PATH_MAX_DEPTH = 12  # at most 2**12 subintervals per segment
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,7 @@ def _chord_rtheta(domain: ModelDomain, za, zb, tha, t: np.ndarray):
     return r, theta
 
 
-def path_length(domain: ModelDomain, vertices, rtol: float = 1e-11,
-                atol: float = 1e-12, max_depth: int = 12) -> float:
+def path_length(domain: ModelDomain, vertices) -> float:
     """Length of the polyline under the domain metric.
 
     Straight segments are integrated with composite 16-point Gauss-Legendre
@@ -266,7 +266,7 @@ def path_length(domain: ModelDomain, vertices, rtol: float = 1e-11,
             raise PathExitsDomain("argument lift mismatch along segment")
 
     prev = None
-    for depth in range(max_depth + 1):
+    for depth in range(_PATH_MAX_DEPTH + 1):
         pieces = 2 ** depth
         edges = np.linspace(0.0, 1.0, pieces + 1)
         mid = (edges[:-1, None] + edges[1:, None]) / 2.0
@@ -278,7 +278,7 @@ def path_length(domain: ModelDomain, vertices, rtol: float = 1e-11,
             raise PathExitsDomain("quadrature node left the domain")
         dens = density_arrays(domain, r, theta)
         total = float(np.sum(chord * (dens @ wts)))
-        if prev is not None and abs(total - prev) <= max(atol, rtol * abs(total)):
+        if prev is not None and abs(total - prev) <= max(_PATH_ATOL, _PATH_RTOL * abs(total)):
             return total
         prev = total
     return prev
@@ -383,21 +383,17 @@ def bound_case2_horizontal(z0_tilde: complex, C: float) -> DistanceBound:
     return DistanceBound(value, "lower_bound", "horizontal")
 
 
-def kobayashi_disk_clearance(domain: ModelDomain, center, C: float,
-                             probe_arg: float) -> float:
-    """Largest half-angle t such that the wedge of rays within t of probe_arg
-    misses the closed hyperbolic disk of radius C about center.
+def kobayashi_disk_clearance(domain: ModelDomain, center, C: float) -> float:
+    """Largest angle t such that the rays at arguments in (arg_low, arg_low + t)
+    miss the closed hyperbolic disk of radius C about center.
 
     The minimal distance from the center to the ray at angle psi has the
     closed form 2 asinh(sqrt((1 - cos(vc - v)) / (2 sin vc sin v))) in chart
-    angles, monotone toward the center, so bisection on the wedge's near edge
-    settles the angle.
+    angles, infinite on the boundary ray and monotone toward the center, so
+    bisection on the wedge's near edge settles the angle.
     """
     _, v_c = chart_uv(domain, center)
     scale = math.pi / domain.width
-    v_probe = scale * (probe_arg - domain.arg_low)
-    if not (0.0 <= v_probe <= math.pi):
-        raise OutsideDomain("probe ray outside the domain closure")
 
     def d_min(v):
         s = math.sin(v)
@@ -406,14 +402,11 @@ def kobayashi_disk_clearance(domain: ModelDomain, center, C: float,
         x = (1.0 - math.cos(v_c - v)) / (2.0 * math.sin(v_c) * s)
         return 2.0 * math.asinh(math.sqrt(max(x, 0.0)))
 
-    if d_min(v_probe) <= C:
-        raise NoClearance("the disk already meets the probe ray")
-    v_span = v_c - v_probe
-    lo, hi = 0.0, 1.0  # fractions of the angular span toward the center
+    lo, hi = 0.0, 1.0  # fractions of the chart angle v_c of the center
     for _ in range(100):
         mid = (lo + hi) / 2.0
-        if d_min(v_probe + mid * v_span) > C:
+        if d_min(mid * v_c) > C:
             lo = mid
         else:
             hi = mid
-    return abs(lo * v_span) / scale
+    return lo * v_c / scale

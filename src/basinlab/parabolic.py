@@ -114,7 +114,10 @@ def parse_polynomial(text: str) -> list:
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
     if not parts:
         raise ValueError("empty coefficient list")
-    return [complex(float(p), 0.0) for p in parts]
+    coeffs = [complex(float(p), 0.0) for p in parts]
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise ValueError("coefficients must be finite")
+    return coeffs
 
 
 def analyze_parabolic(coefficients) -> tuple[ParabolicMap, AttractionVectorSet]:
@@ -217,13 +220,13 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     steps = np.full(npts, n_max, dtype=np.int32)
     idx = np.arange(npts)
     r_esc2 = fm.escape_radius ** 2
-    rho2 = gate.rho_entry ** 2
+    entry2 = gate.rho2 ** 2
     ang_lim = math.pi - gate.gap_omega
     ma = m * a
 
     def _settle(active_z, active_idx, n):
         w = -1.0 / (ma * active_z ** m)
-        inside = (w.real * w.real + w.imag * w.imag >= rho2) & (np.abs(np.angle(w)) <= ang_lim)
+        inside = (w.real * w.real + w.imag * w.imag >= entry2) & (np.abs(np.angle(w)) <= ang_lim)
         if not inside.any():
             return inside
         zin = active_z[inside]
@@ -358,16 +361,17 @@ _KEY = np.dtype([("re", np.int64), ("im", np.int64)])
 _KEY_LIMIT = 2.0 ** 62
 
 
-def quantize(values: np.ndarray, quantum: float = DEDUP_QUANTUM) -> np.ndarray:
-    """Grid-cell keys (round(re/quantum), round(im/quantum)) as sortable int64 pairs.
+def quantize(values: np.ndarray) -> np.ndarray:
+    """Grid-cell keys (round(re/DEDUP_QUANTUM), round(im/DEDUP_QUANTUM)) as
+    sortable int64 pairs.
 
     Rounding is half-to-even, like Python's round(). Raises NumericOverflow
     for a value whose key would not fit in int64.
     """
-    re = np.rint(values.real / quantum)
-    im = np.rint(values.imag / quantum)
+    re = np.rint(values.real / DEDUP_QUANTUM)
+    im = np.rint(values.imag / DEDUP_QUANTUM)
     if not (np.all(np.abs(re) < _KEY_LIMIT) and np.all(np.abs(im) < _KEY_LIMIT)):
-        raise NumericOverflow(f"value outside the int64 range of the {quantum:g} grid")
+        raise NumericOverflow(f"value outside the int64 range of the {DEDUP_QUANTUM:g} grid")
     keys = np.empty(values.shape, dtype=_KEY)
     keys["re"] = re
     keys["im"] = im
@@ -399,7 +403,6 @@ class QEnumeration:
     residual: np.ndarray
     k_max: int
     l_max: int
-    dedup_quantum: float = DEDUP_QUANTUM
     truncated: bool = False
 
     @property
@@ -493,4 +496,4 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
             cur = fm(cur)
 
     return QEnumeration(complex(q), probe.direction, vals, ks, ls, residuals,
-                        k_max, l_max, DEDUP_QUANTUM, truncated)
+                        k_max, l_max, truncated)

@@ -73,21 +73,18 @@ def _remainder_on_z(fm: ParabolicMap, z: np.ndarray) -> np.ndarray:
     return rem
 
 
-def estimate_remainder(fm: ParabolicMap, rho: float, samples: int = 4096) -> float:
+def estimate_remainder(fm: ParabolicMap, rho: float) -> float:
     """Sampled sup of |F(w) - w - 1| over |w| >= rho, with a 2x safety factor.
 
-    Sampling happens in the z plane on a log-radial grid over the punctured
-    disk 0 < |z| <= R(rho), which covers every chart sheet at once. The
-    returned value is twice the sampled maximum.
+    Sampling happens in the z plane on a log-radial grid of 32 radii by 128
+    angles over the punctured disk 0 < |z| <= R(rho), which covers every
+    chart sheet at once. The returned value is twice the sampled maximum.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
     m, a = fm.m, fm.a
     r_outer = (1.0 / (m * abs(a) * rho)) ** (1.0 / m)
-    n_theta = 128
-    n_r = max(8, samples // n_theta)
+    n_theta, n_r = 128, 32
     radii = r_outer * np.exp(np.linspace(0.0, -math.log(40.0), n_r))
     angles = _TWO_PI * (np.arange(n_theta) + 0.5) / n_theta
     z = radii[:, None] * np.exp(1j * angles)[None, :]
@@ -156,13 +153,9 @@ class PacManConstruction:
     tangent_points: dict
     attraction_args: tuple
 
-    @property
-    def rho_entry(self) -> float:
-        return self.rho2
-
-    def domain(self, direction: int = 0, radius: float | None = None) -> PacManDomain:
-        r = self.R0_prime if radius is None else radius
-        return PacManDomain("direction", r, self.theta0, _TWO_PI / self.m,
+    def domain(self, direction: int = 0) -> PacManDomain:
+        """The inner pacman (radius R0_prime) about the given direction."""
+        return PacManDomain("direction", self.R0_prime, self.theta0, _TWO_PI / self.m,
                             self.attraction_args[direction])
 
     def to_json_dict(self) -> dict:
@@ -178,7 +171,7 @@ class PacManConstruction:
         }
 
 
-def construct_pacman(fm: ParabolicMap, theta0: float, samples: int = 4096) -> PacManConstruction:
+def construct_pacman(fm: ParabolicMap, theta0: float) -> PacManConstruction:
     """Pick radii so the remainder stays below theta0/3 and nest two pacmen.
 
     The chart-plane gap is m*theta0 and the tangent lines run at half that
@@ -195,24 +188,24 @@ def construct_pacman(fm: ParabolicMap, theta0: float, samples: int = 4096) -> Pa
     target = theta0 / 3.0
 
     hi = 2.0
-    while estimate_remainder(fm, hi, samples) >= target:
+    while estimate_remainder(fm, hi) >= target:
         hi *= 2.0
         if hi > 2.0 ** 60:
             raise NoConvergence("remainder never fell below theta0/3")
     lo = hi / 2.0
-    if estimate_remainder(fm, lo, samples) >= target:
+    if estimate_remainder(fm, lo) >= target:
         # Geometric bisection toward the threshold radius; keep the passing end.
         for _ in range(60):
             mid = math.sqrt(lo * hi)
-            if estimate_remainder(fm, mid, samples) < target:
+            if estimate_remainder(fm, mid) < target:
                 hi = mid
             else:
                 lo = mid
     rho0 = hi
-    bound = estimate_remainder(fm, rho0, samples)
+    bound = estimate_remainder(fm, rho0)
     while bound >= target:
         rho0 *= 1.05
-        bound = estimate_remainder(fm, rho0, samples)
+        bound = estimate_remainder(fm, rho0)
 
     s = math.sin(gap / 2.0)
     rho1 = rho0 / s
@@ -243,9 +236,10 @@ class InvarianceReport:
 
 def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
                            n_steps: int = 1000, samples: int = 10000,
-                           direction: int = 0, outer_radius: float | None = None,
+                           outer_radius: float | None = None,
                            seed: int = 0) -> InvarianceReport:
-    """Iterate quasi-random points of the inner pacman, count exits from the outer.
+    """Iterate quasi-random points of the inner pacman of direction 0, count
+    exits from the outer.
 
     Sample set is a Halton sequence over (radius, angle) plus 10% of points
     offset 1e-6 (relative) inside the circular and angular boundaries, where
@@ -254,7 +248,7 @@ def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
     tighter).
     """
     outer = pm.R0 if outer_radius is None else outer_radius
-    axis = pm.attraction_args[direction]
+    axis = pm.attraction_args[0]
     half = math.pi / pm.m - pm.theta0
     n_bulk = samples - samples // 10
     eng = qmc.Halton(d=2, scramble=True, seed=np.random.default_rng(seed))
@@ -299,27 +293,15 @@ def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
     return InvarianceReport(violations, worst, int(z.size), n_steps)
 
 
-@dataclass(frozen=True)
-class MembershipPetal:
-    """Entry gate used by the orbit classifiers: |w| >= rho_entry inside the
-    chart-plane sector with gap `gap_omega` is exactly absorption into the
-    certified inner pacman."""
-
-    rho_entry: float
-    gap_omega: float
-    theta0: float
-    R_prime: float
-
-
 @functools.lru_cache(maxsize=64)
-def membership_petal(fm: ParabolicMap) -> MembershipPetal:
+def membership_petal(fm: ParabolicMap) -> PacManConstruction:
     """Certified absorbing petal used for basin membership classification,
     built once per map.
 
-    The gap is wide (0.5, scaled down for larger m) so the entry radius stays
-    small and orbits resolve in few steps; any certified gap would do, since
-    absorption characterizes the basin direction.
+    The classifiers' entry gate is |w| >= rho2 inside the chart-plane sector
+    with gap `gap_omega`, which is exactly absorption into the certified inner
+    pacman. The gap is wide (0.5, scaled down for larger m) so the entry
+    radius stays small and orbits resolve in few steps; any certified gap
+    would do, since absorption characterizes the basin direction.
     """
-    theta0 = min(0.5, 1.2 / fm.m)
-    pm = construct_pacman(fm, theta0)
-    return MembershipPetal(pm.rho2, pm.gap_omega, theta0, pm.R0_prime)
+    return construct_pacman(fm, min(0.5, 1.2 / fm.m))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstructionFailed, OutsideComparisonDomain
+from .errors import ConstructionFailed, OutsideComparisonDomain, PointCapExceeded
 from .kobayashi import (DistanceBound, ModelDomain, bound_case1, bound_case2_horizontal,
                         dist_uv_arrays, kappa_infimum, kobayashi_disk_clearance)
 from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q,
@@ -27,6 +27,8 @@ from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerat
 from .petals import PacManConstruction, construct_pacman
 
 _TWO_PI = 2.0 * math.pi
+_ROOT_TOL = 1e-12  # Aberth residual target for the points of Q
+_CLOSURE_RESIDUAL_TOL = 1e-8  # |f^d(w) - z0| allowed for a depth-d preimage w of z0
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
         comparison = ModelDomain.sector(-theta0, opening + theta0)
 
     clearance_domain = ModelDomain.slit_plane() if m == 1 else ModelDomain.sector(0.0, opening)
-    theta0_prime = kobayashi_disk_clearance(clearance_domain, z0n, C, 0.0)
+    theta0_prime = kobayashi_disk_clearance(clearance_domain, z0n, C)
     theta0_prime = min(theta0_prime, 0.999 * theta0)
 
     kappa, c1, c2 = kappa_infimum(m, (0.0, math.pi / (2.0 * m)))
@@ -295,15 +297,19 @@ class TheoremCertificate:
 
 def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
                    l_max: int = 10, direction: int | None = 0, *,
-                   z0_override: complex | None = None,
-                   root_tol: float = 1e-12) -> TheoremCertificate:
+                   z0_override: complex | None = None) -> TheoremCertificate:
     """Produce a certificate that min over the truncated Q of the exact
     comparison-domain distance from z0 is at least C.
 
     direction=None certifies the direction q classifies into; enumerate_Q
-    raises NotInBasin when q does not converge into the requested one."""
+    raises NotInBasin when q does not converge into the requested one.
+    Raises PointCapExceeded when enumerate_Q stopped at its point cap, since
+    a certificate over part of the levels it names would claim too much."""
     t_start = time.perf_counter()
-    qe = enumerate_Q(fm, q, k_max, l_max, direction, tol=root_tol)
+    qe = enumerate_Q(fm, q, k_max, l_max, direction, tol=_ROOT_TOL)
+    if qe.truncated:
+        raise PointCapExceeded(f"Q for k_max={k_max}, l_max={l_max} hit the point cap "
+                               f"after {qe.value.size} distinct points")
     params = choose_parameters(fm, C, qe.direction)
     if z0_override is not None:
         zr = z0_override * complex(math.cos(-params.rotation), math.sin(-params.rotation))
@@ -374,7 +380,7 @@ class ClosureReport:
 
 
 def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
-                        depth: int, residual_tol: float = 1e-8) -> ClosureReport:
+                        depth: int) -> ClosureReport:
     """Mechanical premises of the preimage-closure argument on computed data.
 
     Every depth-d preimage of z0 must iterate forward onto z0 within the
@@ -402,7 +408,7 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
             cur = fm(cur)
         res = abs(cur - z0)
         report.max_residual = max(report.max_residual, res)
-        if res >= residual_tol:
+        if res >= _CLOSURE_RESIDUAL_TOL:
             report.residual_failures += 1
 
     # Sorted grid keys of the certified points; every image is looked up in

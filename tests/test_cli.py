@@ -1,10 +1,14 @@
+import functools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import basinlab
+from basinlab import cli, enumerate_Q, verifier
 
 # The CLI runs in a temp dir, so a relative PYTHONPATH entry would not resolve;
 # put the absolute parent of the imported package first.
@@ -156,3 +160,49 @@ class TestUsageErrors:
     def test_usage_prints_grammar(self, tmp_path):
         res = run_cli(["verify", "--poly", "0,1", "--C", "1", "--q", "0.1"], tmp_path)
         assert "usage" in res.stderr.lower()
+
+
+_PROP3 = ["prop3", "--poly", "0,1,1,1", "--R", "0.3", "--theta0", "0.3"]
+_PACMAN = ["pacman", "--poly", "0,1,1", "--theta0", "0.1", "--check-invariance"]
+_VERIFY = ["--poly", "0,1,1", "--q", "-0.5", "--kmax", "2", "--lmax", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_PROP3, "--res", "9000"],
+    [*_PROP3, "--res", "0"],
+    [*_PROP3, "--res", "4097", "--stability-check"],
+    ["distance", "--domain", "sector", "--lo", "0", "--hi", "7", "--z1", "1,1", "--z2", "1,2"],
+    ["distance", "--domain", "double", "--lo", "0", "--hi", "1", "--z1", "1,1", "--z2", "1,2"],
+    ["distance", "--domain", "slit", "--z1", "-1", "--z2", "-4", "--path=-1"],
+    ["render", "--poly", "0,1,1", "--width", "nan", "--res", "8"],
+    ["render", "--poly", "0,1,1", "--width", "1.5", "--res", "8", "--nmax", "-5"],
+    ["render", "--poly", "0,1,1", "--width", "1.5", "--res", "8", "--nmax", "3000000000"],
+    ["closure", *_VERIFY, "--C", "2", "--depth", "-1"],
+    ["verify", *_VERIFY, "--C", "nan"],
+    ["verify", *_VERIFY, "--C", "inf"],
+    ["verify", "--poly", "0,1,nan", "--C", "2", "--q", "-0.5"],
+    ["verify", "--poly", "0,1,1", "--C", "2", "--q", "nan"],
+    ["enumerate-q", "--poly", "0,1,1", "--q", "-0.5", "--tol", "-1"],
+    ["orbit", "--poly", "0,1,1", "--z0", "-0.5", "--n", "99", "--classify"],
+    [*_PACMAN, "--steps", "0"],
+    [*_PACMAN, "--samples", "5"],
+    [*_PACMAN, "--seed", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_usage_error_before_any_output(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out-dir", "o", *argv])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_truncated_q_yields_no_certificate(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verifier, "enumerate_Q",
+                        functools.partial(enumerate_Q, point_cap=20))
+    out = tmp_path / "o"
+    code = cli.main(["--out-dir", str(out), "verify", "--poly", "0,1,1", "--C", "2",
+                     "--q", "-0.5", "--kmax", "20", "--lmax", "10"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "PointCapExceeded"
+    assert not out.exists()

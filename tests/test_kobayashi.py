@@ -11,9 +11,8 @@ from basinlab import (LiftedPoint, ModelDomain, bound_case1, bound_case2,
                       bound_case2_horizontal, density, distance_exact,
                       geodesic_polyline, kappa_infimum,
                       kobayashi_disk_clearance, path_length)
-from basinlab.errors import (BadRadii, NoClearance, NonPositiveImaginary,
-                             NumericOverflow, OutsideDomain, PathExitsDomain,
-                             SmallRealPart)
+from basinlab.errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
+                             OutsideDomain, PathExitsDomain, SmallRealPart)
 
 LN2 = math.log(2.0)
 H = ModelDomain.half_plane()
@@ -290,13 +289,13 @@ class TestClearance:
     def test_half_plane_closed_form(self):
         # wedge angle where the radius-C disk about i stops: asin(1/cosh C)
         for C in (0.5, 1.0, 2.0):
-            got = kobayashi_disk_clearance(H, 1j, C, 0.0)
+            got = kobayashi_disk_clearance(H, 1j, C)
             assert got == pytest.approx(math.asin(1.0 / math.cosh(C)), abs=1e-6)
 
     def test_slit_near_boundary_center(self):
         theta0 = 0.0169
         center = cmath.exp(1j * 1.5 * theta0)
-        got = kobayashi_disk_clearance(SLIT, center, 2.0, 0.0)
+        got = kobayashi_disk_clearance(SLIT, center, 2.0)
         assert 0.0 < got < 1.5 * theta0
         # the cleared wedge really is distance > C from the center
         edge = got * 0.999
@@ -305,12 +304,8 @@ class TestClearance:
         assert probe_min > 2.0
 
     def test_zero_radius(self):
-        got = kobayashi_disk_clearance(H, 1j, 0.0, 0.0)
+        got = kobayashi_disk_clearance(H, 1j, 0.0)
         assert got == pytest.approx(math.pi / 2.0, abs=1e-6)
-
-    def test_no_clearance_through_center(self):
-        with pytest.raises(NoClearance):
-            kobayashi_disk_clearance(H, 1j, 1.0, math.pi / 2.0)
 
 
 class TestDomainGuards:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, preimages)
 from basinlab.errors import LinearMap, NotInBasin, NotParabolic, NumericOverflow
-from basinlab.parabolic import (LABEL_ESCAPED, LABEL_UNDECIDED, classify_batch,
-                                 preimages_batch, quantize)
+from basinlab.parabolic import (DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
+                                 classify_batch, preimages_batch, quantize)
 
 
 class TestAnalyze:
@@ -236,7 +236,7 @@ class TestEnumerateQ:
         fm, _ = quad_map
         shallow = enumerate_Q(fm, -0.5, 3, 2, 0)
         deep = enumerate_Q(fm, -0.5, 3, 3, 0)
-        q = shallow.dedup_quantum
+        q = DEDUP_QUANTUM
         deep_keys = {(round(v.real / q), round(v.imag / q)) for v in deep.values()}
         missing = [v for v in shallow.values()
                    if (round(v.real / q), round(v.imag / q)) not in deep_keys]
@@ -248,7 +248,7 @@ class TestEnumerateQ:
         vals = qe.values()
         d = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(d, np.inf)
-        assert d.min() > qe.dedup_quantum
+        assert d.min() > DEDUP_QUANTUM
 
     @pytest.mark.parametrize("poly, q, depth", [("quad_map", -0.5, 4), ("cubic_map", 0.3j, 3)])
     def test_points_inherit_direction(self, request, poly, q, depth):
