@@ -107,13 +107,17 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--poly", required=True, type=_parse_map,
                         help="ascending coefficients, e.g. 0,1,1 for z+z^2")
 
-    def add_certificate(sp):
+    def add_q(sp):
+        """The flags that name Q; --direction defaults to the one q classifies into."""
         add_poly(sp)
-        sp.add_argument("--C", type=_positive, required=True)
         sp.add_argument("--q", type=_parse_complex, required=True)
         sp.add_argument("--kmax", type=_count, default=20)
         sp.add_argument("--lmax", type=_count, default=10)
         sp.add_argument("--direction", type=_count, default=None)
+
+    def add_certificate(sp):
+        add_q(sp)
+        sp.add_argument("--C", type=_positive, required=True)
 
     sp = sub.add_parser("vectors", help="parabolic data and invariant directions")
     add_poly(sp)
@@ -128,15 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("preimages", help="all solutions of f(z) = w")
     add_poly(sp)
     sp.add_argument("--w", type=_parse_complex, required=True)
-    sp.add_argument("--tol", type=_positive, default=1e-10)
 
     sp = sub.add_parser("enumerate-q", help="truncated forward/backward orbit set")
-    add_poly(sp)
-    sp.add_argument("--q", type=_parse_complex, required=True)
-    sp.add_argument("--kmax", type=_count, default=20)
-    sp.add_argument("--lmax", type=_count, default=10)
-    sp.add_argument("--direction", type=_count, default=0)
-    sp.add_argument("--tol", type=_positive, default=1e-10)
+    add_q(sp)
 
     sp = sub.add_parser("pacman", help="certified wedge construction")
     add_poly(sp)
@@ -257,13 +255,13 @@ def _dispatch(args) -> int:
 
     if cmd == "preimages":
         fm, _ = args.poly
-        roots = preimages(fm, args.w, args.tol)
+        roots = preimages(fm, args.w)
         _emit({"roots": [_json_complex(r) for r in roots]}, out_dir, "preimages.json")
         return 0
 
     if cmd == "enumerate-q":
         fm, _ = args.poly
-        qe = enumerate_Q(fm, args.q, args.kmax, args.lmax, args.direction, tol=args.tol)
+        qe = enumerate_Q(fm, args.q, args.kmax, args.lmax, args.direction)
         os.makedirs(out_dir, exist_ok=True)
         qe.to_csv(os.path.join(out_dir, "q_points.csv"))
         print(json.dumps({"n_points": int(qe.value.size)}, sort_keys=True))

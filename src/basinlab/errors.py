@@ -58,7 +58,7 @@ class OutsideComparisonDomain(BasinLabError, ValueError):
 
 
 class PointCapExceeded(BasinLabError, RuntimeError):
-    """The enumeration of Q stopped at its point cap before reaching (k_max, l_max)."""
+    """The enumeration of Q would pass its point cap before reaching (k_max, l_max)."""
 
 
 class NotInBasin(BasinLabError, ValueError):

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
                      OutsideDomain, PathExitsDomain, SmallRealPart)
@@ -145,18 +144,6 @@ def chart(domain: ModelDomain, p) -> complex:
     if abs(u) > 700.0:
         raise NumericOverflow("chart value outside double-precision range")
     return cmath.exp(complex(u, 0.0)) * cmath.exp(1j * v)
-
-
-def chart_inverse(domain: ModelDomain, w: complex):
-    """Inverse chart; returns complex, or LiftedPoint on double sectors."""
-    if w.imag <= 0.0:
-        raise OutsideDomain("chart inverse needs a point of the upper half-plane")
-    inv_scale = domain.width / math.pi
-    r = math.exp(inv_scale * math.log(abs(w)))
-    theta = domain.arg_low + inv_scale * cmath.phase(w)
-    if domain.tag == "double_sector":
-        return LiftedPoint(r, theta)
-    return r * cmath.exp(1j * theta)
 
 
 @dataclass(frozen=True)
@@ -329,32 +316,31 @@ def bound_case1(eps: float, R: float, m: int) -> DistanceBound:
 
 
 def kappa_infimum(m: int, theta_range: tuple[float, float]) -> tuple[float, float, float]:
-    """Certified infima over the angular range.
+    """Certified infima over the angular range, in closed form.
 
-    kappa is the infimum of the exact ratio density*Im = m sin(theta) /
-    (2 sin(m theta / 2)); c1 and c2 are the separate classical infima of
-    (m theta/2)/sin(m theta/2) and sin(theta)/theta. kappa >= c1*c2 and kappa
-    is the constant that keeps the log-height bound sound.
+    kappa is the infimum of the exact ratio density*Im = g(theta) =
+    m sin(theta) / (2 sin(m theta / 2)); c1 and c2 are the separate classical
+    infima of (m theta/2)/sin(m theta/2) and sin(theta)/theta. kappa >= c1*c2
+    and kappa is the constant that keeps the log-height bound sound.
+
+    All three are monotone on the whole admissible range (0, min(pi, 2pi/m)),
+    because x cot x decreases on (0, pi): theta (ln g)' = theta cot theta -
+    (m theta/2) cot(m theta/2) is positive for m >= 3 (m theta/2 > theta),
+    zero for m = 2 and negative for m = 1; c1 = x/sin x with x = m theta/2 in
+    (0, pi) increases and c2 decreases. So each infimum is the smaller of the
+    two values at the ends of the range, which is clamped to [1e-9,
+    cap - 1e-12] away from the removable singularity at 0 and the pole at
+    the cap.
     """
     lo, hi = theta_range
     cap = min(math.pi, _TWO_PI / m)
     if not (0.0 <= lo < hi <= cap + 1e-12):
         raise ValueError("theta range must sit inside (0, min(pi, 2pi/m))")
     hi = min(hi, cap - 1e-12) if hi >= cap else hi
-    grid = np.linspace(max(lo, 1e-9), hi, 20001)
-
-    def ratio(th):
-        return m * np.sin(th) / (2.0 * np.sin(m * th / 2.0))
-
-    vals = ratio(grid)
-    i = int(np.argmin(vals))
-    kappa = float(vals[i])
-    if 0 < i < len(grid) - 1:
-        res = minimize_scalar(lambda t: float(ratio(np.array([t]))[0]),
-                              bounds=(grid[i - 1], grid[i + 1]), method="bounded")
-        kappa = min(kappa, float(res.fun))
-    c1 = float(np.min((m * grid / 2.0) / np.sin(m * grid / 2.0)))
-    c2 = float(np.min(np.sin(grid) / grid))
+    ends = np.array([max(lo, 1e-9), hi])
+    kappa = float(np.min(m * np.sin(ends) / (2.0 * np.sin(m * ends / 2.0))))
+    c1 = float(np.min((m * ends / 2.0) / np.sin(m * ends / 2.0)))
+    c2 = float(np.min(np.sin(ends) / ends))
     return kappa, c1, c2
 
 

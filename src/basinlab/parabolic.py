@@ -16,7 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import LinearMap, NoConvergence, NotInBasin, NotParabolic, NumericOverflow
+from .errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic, NumericOverflow,
+                     PointCapExceeded)
 
 # Labels used by the vectorized classifier. Nonnegative values are direction
 # indices; the negative values are terminal non-direction states.
@@ -24,7 +25,7 @@ LABEL_UNDECIDED = -2
 LABEL_ESCAPED = -1
 
 DEDUP_QUANTUM = 1e-10
-DEFAULT_ROOT_TOL = 1e-10
+ROOT_TOL = 1e-12  # largest residual |f(z) - w| a root returned by preimages_batch may have
 PROBE_STEPS = 20000  # step budget of the one classification of q per enumeration
 _TWO_PI = 2.0 * math.pi
 
@@ -86,10 +87,6 @@ class AttractionVectorSet:
     @property
     def attraction_args(self) -> tuple:
         return tuple(cmath.phase(v) % _TWO_PI for v in self.attraction)
-
-    @property
-    def repulsion_args(self) -> tuple:
-        return tuple(cmath.phase(v) % _TWO_PI for v in self.repulsion)
 
 
 class OrbitStatus(Enum):
@@ -270,12 +267,17 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
 # Simultaneous polynomial root finding (Aberth iteration)
 # ---------------------------------------------------------------------------
 
-def preimages_batch(fm: ParabolicMap, ws: np.ndarray, tol: float = DEFAULT_ROOT_TOL) -> np.ndarray:
+def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
     """Row i holds the deg(f) solutions of f(z) = ws[i], sorted by (re, im).
 
-    Aberth simultaneous iteration. Deterministic and row-independent: fixed
-    initial circle, perturbation restarts drawn from a seeded generator keyed
-    by the attempt number, so row i does not depend on the other targets.
+    Aberth simultaneous iteration to a residual a decade below ROOT_TOL
+    (relative for |w| > 1), then one Newton polish; NoConvergence if a
+    residual stays above ROOT_TOL. A multiple root comes out as a cluster of
+    simple roots that each meet the target (the double root of z + z^2 at
+    w = -1/4 as two roots about 1e-7 apart). Deterministic and
+    row-independent: fixed initial circle, perturbation restarts drawn from a
+    seeded generator keyed by the attempt number, so row i does not depend on
+    the other targets.
     """
     ws = np.asarray(ws, dtype=complex).ravel()
     deg = fm.degree
@@ -286,16 +288,16 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray, tol: float = DEFAULT_ROOT_
     angles = _TWO_PI * (np.arange(deg) + 0.37) / deg
     z = radius[:, None] * 0.9 * np.exp(1j * (angles[None, :] + 0.1))
 
-    tol_eff = min(tol, 1e-13) * np.maximum(1.0, np.abs(ws))
+    target = 1e-13 * np.maximum(1.0, np.abs(ws))
     best = np.full(B, np.inf)
     stale = np.zeros(B, dtype=np.int32)
     attempt = np.zeros(B, dtype=np.int32)
-    rows = np.arange(B)  # rows still above tolerance; a converged row never moves again
+    rows = np.arange(B)  # rows still above target; a converged row never moves again
     for _ in range(400):
         zr = z[rows]
         pv = fm(zr) - ws[rows, None]
         res = np.max(np.abs(pv), axis=1)
-        active = res > tol_eff[rows]
+        active = res > target[rows]
         if not active.all():
             rows, zr, pv, res = rows[active], zr[active], pv[active], res[active]
         if rows.size == 0:
@@ -322,35 +324,19 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray, tol: float = DEFAULT_ROOT_
         corr = np.where(np.isfinite(corr), corr, newton)
         z[rows] = zr - corr
     res = np.max(np.abs(fm(z) - ws[:, None]), axis=1)
-    if np.any(res > np.maximum(tol, tol_eff)):
-        raise NoConvergence(f"root residual {res.max():.3e} above tolerance {tol:.3e}")
+    if np.any(res > np.maximum(ROOT_TOL, target)):
+        raise NoConvergence(f"root residual {res.max():.3e} above tolerance {ROOT_TOL:.3e}")
 
-    # One Newton polish, then collapse clusters tighter than 10*tol to their
-    # centroid so multiple roots report a single repeated value. A vectorized
-    # pairwise screen picks the rows that hold a cluster at all.
     dp = fm.derivative(z)
     safe = np.abs(dp) > 1e-280
     z = np.where(safe, z - (fm(z) - ws[:, None]) / np.where(safe, dp, 1.0), z)
-    cluster = 10.0 * tol
-    near = np.abs(z[:, :, None] - z[:, None, :]) < cluster
-    np.einsum("bii->bi", near)[:] = False
-    for b in np.flatnonzero(near.any(axis=(1, 2))):
-        row = z[b]
-        used = np.zeros(deg, dtype=bool)
-        for i in range(deg):
-            if used[i]:
-                continue
-            near_i = np.abs(row - row[i]) < cluster
-            if near_i.sum() > 1:
-                row[near_i] = row[near_i].mean()
-            used |= near_i
     order = np.lexsort((z.imag, z.real), axis=-1)
     return np.take_along_axis(z, order, axis=-1)
 
 
-def preimages(fm: ParabolicMap, w: complex, tol: float = DEFAULT_ROOT_TOL) -> list:
-    """All deg(f) solutions of f(z) = w (with multiplicity), residual below tol."""
-    return [complex(r) for r in preimages_batch(fm, np.array([w], dtype=complex), tol)[0]]
+def preimages(fm: ParabolicMap, w: complex) -> list:
+    """All deg(f) solutions of f(z) = w (with multiplicity), residual below ROOT_TOL."""
+    return [complex(r) for r in preimages_batch(fm, np.array([w], dtype=complex))[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +389,6 @@ class QEnumeration:
     residual: np.ndarray
     k_max: int
     l_max: int
-    truncated: bool = False
 
     @property
     def points(self) -> list:
@@ -428,8 +413,7 @@ class QEnumeration:
 
 
 def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
-                direction: int | None = None, tol: float = DEFAULT_ROOT_TOL,
-                point_cap: int = 10 ** 6) -> QEnumeration:
+                direction: int | None = None, point_cap: int = 10 ** 6) -> QEnumeration:
     """Breadth-first preimage expansion of each forward iterate of q.
 
     q is classified once (classify_direction, PROBE_STEPS steps); NotInBasin
@@ -443,9 +427,9 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     Expansion runs level by level: one preimages_batch call solves level l
     for every k. The result is sorted by (k, l, re, im) and deduplicated on
     the quantized grid keeping first occurrences, so it is independent of
-    expansion order. When a level would take the raw count past point_cap,
-    that level is cut in (k, re, im) order, expansion stops and `truncated`
-    is set.
+    expansion order. Raises PointCapExceeded as soon as a level would take
+    the raw count past point_cap, so no caller ever sees part of the levels
+    it asked for.
     """
     probe = classify_direction(fm, q, PROBE_STEPS)
     if not probe.converged or direction not in (None, probe.direction):
@@ -460,20 +444,16 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     frontier, frontier_k = orbit, np.arange(k_max + 1)
     vals, ks, ls = [frontier], [frontier_k], [np.zeros(k_max + 1, dtype=int)]
     count = frontier.size
-    truncated = False
     for l in range(1, l_max + 1):
-        roots = preimages_batch(fm, frontier, tol).ravel()
+        count += frontier.size * fm.degree
+        if count > point_cap:
+            raise PointCapExceeded(f"Q for k_max={k_max}, l_max={l_max} passes the point "
+                                   f"cap of {point_cap} at level l={l}")
+        roots = preimages_batch(fm, frontier).ravel()
         roots_k = np.repeat(frontier_k, fm.degree)
-        if count + roots.size > point_cap:
-            keep = np.lexsort((roots.imag, roots.real, roots_k))[:max(point_cap - count, 0)]
-            roots, roots_k = roots[keep], roots_k[keep]
-            truncated = True
         vals.append(roots)
         ks.append(roots_k)
         ls.append(np.full(roots.size, l))
-        count += roots.size
-        if truncated:
-            break
         frontier, frontier_k = roots, roots_k
 
     vals, ks, ls = np.concatenate(vals), np.concatenate(ks), np.concatenate(ls)
@@ -496,4 +476,4 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
             cur = fm(cur)
 
     return QEnumeration(complex(q), probe.direction, vals, ks, ls, residuals,
-                        k_max, l_max, truncated)
+                        k_max, l_max)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DegenerateAngle, NoConvergence, OriginInput
 from .parabolic import ParabolicMap, attraction_vectors
@@ -100,7 +99,6 @@ class PacManDomain:
     from the axis is below sector_opening/2 - gap_angle.
     """
 
-    orientation: str  # "left" (axis pi) or "right" (axis 0) or "direction"
     radius: float
     gap_angle: float
     sector_opening: float = _TWO_PI
@@ -121,11 +119,11 @@ class PacManDomain:
 
     @classmethod
     def left(cls, radius: float, gap_angle: float) -> "PacManDomain":
-        return cls("left", radius, gap_angle, _TWO_PI, math.pi)
+        return cls(radius, gap_angle)
 
     @classmethod
     def right(cls, radius: float, gap_angle: float) -> "PacManDomain":
-        return cls("right", radius, gap_angle, _TWO_PI, 0.0)
+        return cls(radius, gap_angle, axis_arg=0.0)
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ class PacManConstruction:
 
     def domain(self, direction: int = 0) -> PacManDomain:
         """The inner pacman (radius R0_prime) about the given direction."""
-        return PacManDomain("direction", self.R0_prime, self.theta0, _TWO_PI / self.m,
+        return PacManDomain(self.R0_prime, self.theta0, _TWO_PI / self.m,
                             self.attraction_args[direction])
 
     def to_json_dict(self) -> dict:
@@ -247,6 +245,8 @@ def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
     the distance to the outer pacman's boundary (radial or arc, whichever is
     tighter).
     """
+    from scipy.stats import qmc  # deferred: slow to import, and only this function uses it
+
     outer = pm.R0 if outer_radius is None else outer_radius
     axis = pm.attraction_args[0]
     half = math.pi / pm.m - pm.theta0

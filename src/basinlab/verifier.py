@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstructionFailed, OutsideComparisonDomain, PointCapExceeded
+from .errors import ConstructionFailed, OutsideComparisonDomain
 from .kobayashi import (DistanceBound, ModelDomain, bound_case1, bound_case2_horizontal,
                         dist_uv_arrays, kappa_infimum, kobayashi_disk_clearance)
 from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q,
@@ -27,7 +27,6 @@ from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerat
 from .petals import PacManConstruction, construct_pacman
 
 _TWO_PI = 2.0 * math.pi
-_ROOT_TOL = 1e-12  # Aberth residual target for the points of Q
 _CLOSURE_RESIDUAL_TOL = 1e-8  # |f^d(w) - z0| allowed for a depth-d preimage w of z0
 
 
@@ -302,14 +301,10 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
     comparison-domain distance from z0 is at least C.
 
     direction=None certifies the direction q classifies into; enumerate_Q
-    raises NotInBasin when q does not converge into the requested one.
-    Raises PointCapExceeded when enumerate_Q stopped at its point cap, since
-    a certificate over part of the levels it names would claim too much."""
+    raises NotInBasin when q does not converge into the requested one, and
+    PointCapExceeded when Q would pass its point cap."""
     t_start = time.perf_counter()
-    qe = enumerate_Q(fm, q, k_max, l_max, direction, tol=_ROOT_TOL)
-    if qe.truncated:
-        raise PointCapExceeded(f"Q for k_max={k_max}, l_max={l_max} hit the point cap "
-                               f"after {qe.value.size} distinct points")
+    qe = enumerate_Q(fm, q, k_max, l_max, direction)
     params = choose_parameters(fm, C, qe.direction)
     if z0_override is not None:
         zr = z0_override * complex(math.cos(-params.rotation), math.sin(-params.rotation))
@@ -399,7 +394,7 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
     for level in range(1, depth + 1):
         if frontier.size == 0:
             break
-        frontier = preimages_batch(fm, frontier, tol=1e-13).ravel()
+        frontier = preimages_batch(fm, frontier).ravel()
         nodes.extend((level, complex(w)) for w in frontier)
     report.n_preimages = len(nodes)
     for level, w in nodes:

@@ -182,7 +182,7 @@ _VERIFY = ["--poly", "0,1,1", "--q", "-0.5", "--kmax", "2", "--lmax", "2"]
     ["verify", *_VERIFY, "--C", "inf"],
     ["verify", "--poly", "0,1,nan", "--C", "2", "--q", "-0.5"],
     ["verify", "--poly", "0,1,1", "--C", "2", "--q", "nan"],
-    ["enumerate-q", "--poly", "0,1,1", "--q", "-0.5", "--tol", "-1"],
+    ["enumerate-q", "--poly", "0,1,1", "--q", "-0.5", "--kmax", "-1"],
     ["orbit", "--poly", "0,1,1", "--z0", "-0.5", "--n", "99", "--classify"],
     [*_PACMAN, "--steps", "0"],
     [*_PACMAN, "--samples", "5"],
@@ -206,3 +206,40 @@ def test_truncated_q_yields_no_certificate(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "PointCapExceeded"
     assert not out.exists()
+
+
+def test_capped_q_writes_no_points(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "enumerate_Q", functools.partial(enumerate_Q, point_cap=20))
+    out = tmp_path / "o"
+    code = cli.main(["--out-dir", str(out), "enumerate-q", "--poly", "0,1,1",
+                     "--q", "-0.5", "--kmax", "20", "--lmax", "10"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "PointCapExceeded"
+    assert not (out / "q_points.csv").exists()
+
+
+def test_enumerate_q_writes_the_certified_q(tmp_path, capsys):
+    # q = -0.3i lies in the basin of direction 1; both commands resolve it
+    argv = ["--poly", "0,1,0,1", "--q", "0,-0.3", "--kmax", "3", "--lmax", "3"]
+    assert cli.main(["--out-dir", str(tmp_path / "e"), "enumerate-q", *argv]) == 0
+    cli.main(["--out-dir", str(tmp_path / "v"), "verify", *argv, "--C", "2", "--dump-bounds"])
+
+    def provenance(path):
+        # bounds.csv spells its coordinates as numpy reprs, np.float64(x)
+        rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
+        return [(float(x.removeprefix("np.float64(").rstrip(")")),
+                 float(y.removeprefix("np.float64(").rstrip(")")), int(k), int(l))
+                for x, y, k, l, *_ in rows]
+
+    points = provenance(tmp_path / "e" / "q_points.csv")
+    assert len(points) > 4
+    assert points == provenance(tmp_path / "v" / "bounds.csv")
+
+
+def test_import_loads_neither_optimize_nor_stats():
+    code = ("import sys, basinlab; "
+            "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [_PKG_PARENT, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert res.stdout.strip() == "[]"

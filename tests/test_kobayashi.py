@@ -209,6 +209,19 @@ class TestBounds:
         kappa, _, _ = kappa_infimum(2, (0.1, math.pi / 2.0))
         assert kappa == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("frac", [(0.0, 0.25), (0.0, 0.5), (0.2, 0.7), (0.1, 1.0)])
+    def test_kappa_closed_form_is_grid_minimum(self, m, frac):
+        # the reference is a dense grid over the clamped range, endpoints included
+        cap = min(math.pi, 2.0 * math.pi / m)
+        lo, hi = frac[0] * cap, frac[1] * cap
+        grid = np.linspace(max(lo, 1e-9), min(hi, cap - 1e-12), 100001)
+        kappa, c1, c2 = kappa_infimum(m, (lo, hi))
+        assert kappa == np.min(m * np.sin(grid) / (2.0 * np.sin(m * grid / 2.0)))
+        assert c1 == np.min((m * grid / 2.0) / np.sin(m * grid / 2.0))
+        assert c2 == np.min(np.sin(grid) / grid)
+        assert c1 * c2 <= kappa
+
     def test_case2_value(self):
         z0 = cmath.exp(1j * math.asin(1e-3))
         b = bound_case2(z0, 0.3 + 1j, 1, (0.0, math.pi / 2.0))

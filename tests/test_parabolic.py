@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, preimages)
-from basinlab.errors import LinearMap, NotInBasin, NotParabolic, NumericOverflow
+from basinlab.errors import (LinearMap, NotInBasin, NotParabolic, NumericOverflow,
+                             PointCapExceeded)
 from basinlab.parabolic import (DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
                                  classify_batch, preimages_batch, quantize)
 
@@ -185,20 +186,18 @@ class TestPreimages:
         assert roots[1] == pytest.approx(-0.5 + 0.5j, abs=1e-10)
 
     def test_batch_rows_match_single_solves(self, quad_map):
-        # -1/4 is the critical value: its double root is collapsed by the
-        # cluster path (radius 10 * tol)
+        # -1/4 is the critical value, where the two roots nearly coincide
         fm, _ = quad_map
         ws = np.array([-0.25, -0.5, 0.3 + 0.2j, 0j, -0.1875, 2.0 - 1.0j])
-        batch = preimages_batch(fm, ws, tol=1e-6)
-        assert batch[0, 0] == batch[0, 1]
+        batch = preimages_batch(fm, ws)
         for i in range(ws.size):
-            single = preimages_batch(fm, ws[i:i + 1], tol=1e-6)[0]
+            single = preimages_batch(fm, ws[i:i + 1])[0]
             assert batch[i].tobytes() == single.tobytes()
 
     def test_residuals_below_tol(self, cubic_map):
         fm, _ = cubic_map
         ws = np.array([0.3j, -1.126j, 0.2 + 0.1j, -0.4])
-        roots = preimages_batch(fm, ws, tol=1e-12)
+        roots = preimages_batch(fm, ws)
         res = np.abs(fm(roots) - ws[:, None])
         assert res.max() < 1e-12
 
@@ -229,7 +228,7 @@ class TestEnumerateQ:
     def test_residual_soundness(self, quad_map):
         # re-verified forward residual, independent of the root finder
         fm, _ = quad_map
-        qe = enumerate_Q(fm, -0.5, 4, 4, 0, tol=1e-12)
+        qe = enumerate_Q(fm, -0.5, 4, 4, 0)
         assert max(p.residual for p in qe.points) < 1e-8
 
     def test_monotone_in_depth(self, quad_map):
@@ -265,14 +264,13 @@ class TestEnumerateQ:
         with pytest.raises(NotInBasin):
             enumerate_Q(fm, -0.3j, 1, 1, 0)
 
-    def test_point_cap_truncates_to_subset(self, quad_map):
+    def test_point_cap_raises(self, quad_map):
+        # 4 orbit points and 8 first preimages fit under the cap of 20, the
+        # 16 second preimages do not
         fm, _ = quad_map
-        full = enumerate_Q(fm, -0.5, 3, 4, 0)
-        capped = enumerate_Q(fm, -0.5, 3, 4, 0, point_cap=20)
-        assert capped.truncated and not full.truncated
-        assert capped.values().size <= 20
-        full_keys = set(quantize(full.values()).tolist())
-        assert set(quantize(capped.values()).tolist()) <= full_keys
+        assert enumerate_Q(fm, -0.5, 3, 1, 0, point_cap=20).values().size <= 20
+        with pytest.raises(PointCapExceeded):
+            enumerate_Q(fm, -0.5, 3, 4, 0, point_cap=20)
 
     def test_dedup_keeps_first_provenance(self, quad_map):
         # q = -1/2 is a first preimage of f(q), and f(q) one of f^2(q): the
