@@ -56,24 +56,34 @@ class ParabolicMap:
         *lower, lead = self.coefficients
         return max(1.0, (2.0 + sum(abs(c) for c in lower)) / abs(lead))
 
-    def __call__(self, z):
-        """f(z) for a Python complex or a numpy array."""
-        return _horner(reversed(self.coefficients), z)
+    def __call__(self, z, out=None):
+        """f(z) for a Python complex or a numpy array; an array result is
+        written into `out` when given (it must not overlap z)."""
+        return _horner(reversed(self.coefficients), z, out)
 
     def derivative(self, z):
         """f'(z) for a Python complex or a numpy array."""
         return _horner([self.coefficients[k] * k for k in range(self.degree, 0, -1)], z)
 
 
-def _horner(coefficients_desc, z):
+def _horner(coefficients_desc, z, out=None):
     # A Python scalar stays in Python complex arithmetic: the orbit of q is
-    # computed that way, and numpy scalars round differently. An array is
-    # seeded with zeros_like: 0j gives the same bits, but its allocation
-    # pattern cost classify_batch about 40% more page faults and 10% more wall
-    # time on a 512x512 render (glibc malloc, 2-core x86-64 VM).
-    r = np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
-    for c in coefficients_desc:
-        r = r * z + c
+    # computed that way, and numpy's complex multiply rounds differently. An
+    # array result is accumulated in place, in `out` when the caller reuses a
+    # buffer. Seeding r with the leading coefficient skips the step 0*z + c
+    # from r = 0, which gives the same bits for finite z unless c has a
+    # negative-zero part, and saves two passes over an array.
+    lead, *rest = coefficients_desc
+    if not isinstance(z, np.ndarray):
+        r = lead
+    elif out is None:
+        r = np.full(z.shape, lead, np.result_type(z, 0j))  # a real array gives a complex f(z)
+    else:
+        r = out
+        r.fill(lead)
+    for c in rest:
+        r *= z
+        r += c
     return r
 
 
@@ -204,62 +214,92 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     LABEL_ESCAPED or LABEL_UNDECIDED; steps is the step count at which each
     point resolved (n_max if it never did). Absorption is a sticky criterion,
     so labels are stable under any larger n_max.
+
+    The gate is membership_petal's |w| >= rho2 and |arg w| <= pi - gap_omega
+    in the chart w = -1/u, u = m a z^m, tested in the z plane without a
+    division: |w| >= rho2 is |z|^2 <= (|ma| rho2)^(-2/m), and
+    |arg w| <= pi - gap_omega is Re u <= cos(gap_omega) |ma| |z|^m. Escape
+    is |z|^2 > escape_radius^2 from step 1 on. An orbit on the fixed point
+    (z = 0 at the start, |z|^2 = 0 after a step, as for f(z) = 0) is never
+    judged: it is dropped at once and stays LABEL_UNDECIDED with n_max steps.
+
+    Orbits are iterated in place between two buffers. A resolved orbit is
+    parked at 0, which f fixes, and the live orbits are compacted only once
+    fewer than half of the slots hold one.
     """
     from .petals import membership_petal  # deferred: petals imports this module
 
     gate = membership_petal(fm)
-    vs = attraction_vectors(fm)
-    v_args = np.array(vs.attraction_args)
-    m, a = fm.m, fm.a
-    z = np.asarray(points, dtype=complex).ravel().copy()
-    npts = z.size
-    labels = np.full(npts, LABEL_UNDECIDED, dtype=np.int32)
-    steps = np.full(npts, n_max, dtype=np.int32)
-    idx = np.arange(npts)
+    v_args = np.array(attraction_vectors(fm).attraction_args)
+    m, ma = fm.m, fm.m * fm.a
     r_esc2 = fm.escape_radius ** 2
-    entry2 = gate.rho2 ** 2
-    ang_lim = math.pi - gate.gap_omega
-    ma = m * a
+    entry2 = (abs(ma) * gate.rho2) ** (-2.0 / m)
+    cos_lim = math.cos(gate.gap_omega) * abs(ma)
+    start = np.asarray(points, dtype=complex).flatten()
+    size = start.size
+    labels = np.full(size, LABEL_UNDECIDED, dtype=np.int32)
+    steps = np.full(size, n_max, dtype=np.int32)
+    idx = np.arange(size)
+    a2, rhs = np.empty(size), np.empty(size)
+    alive, hit, ang = (np.empty(size, dtype=bool) for _ in range(3))
 
-    def _settle(active_z, active_idx, n):
-        w = -1.0 / (ma * active_z ** m)
-        inside = (w.real * w.real + w.imag * w.imag >= entry2) & (np.abs(np.angle(w)) <= ang_lim)
-        if not inside.any():
-            return inside
-        zin = active_z[inside]
-        if m == 1:
-            labels[active_idx[inside]] = 0
+    def views(k, *buffers):
+        # per complex buffer: the first k slots, as complex, as interleaved
+        # floats, and their real and imaginary parts
+        bufs = [(c, c.view(float), c.real, c.imag) for c in (b[:k] for b in buffers)]
+        return (*bufs, a2[:k], rhs[:k], alive[:k], hit[:k], ang[:k], idx[:k])
+
+    def retire(sel, label):  # record slots sel at this step and park them at 0
+        labels[idxv[sel]] = label
+        steps[idxv[sel]] = step
+        zv[sel] = 0
+        alivev[sel] = False
+
+    slots = size
+    cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, start, np.empty_like(start))
+    for step in range(n_max + 1):
+        if step:
+            fm(cur[0], out=nxt[0])
+            cur, nxt = nxt, cur
+        zv = cur[0]
+        np.multiply(cur[1], cur[1], out=nxt[1])  # |z|^2 = re*re + im*im, via the free buffer
+        np.add(nxt[2], nxt[3], out=a2v)
+        if step == 0:
+            np.not_equal(zv, 0, out=alivev)
         else:
-            diff = np.abs(_wrap_angle(np.angle(zin)[:, None] - v_args[None, :]))
-            labels[active_idx[inside]] = np.argmin(diff, axis=1).astype(np.int32)
-        steps[active_idx[inside]] = n
-        return inside
-
-    nonzero = z != 0
-    resolved = _settle(z[nonzero], idx[nonzero], 0)
-    keep = nonzero.copy()
-    keep[idx[nonzero][resolved]] = False
-    z = z[keep]
-    idx = idx[keep]
-    for n in range(1, n_max + 1):
-        if idx.size == 0:
+            np.greater(a2v, 0.0, out=alivev)
+            if np.fmax.reduce(a2v) > r_esc2:
+                retire(np.flatnonzero(np.greater(a2v, r_esc2, out=hitv)), LABEL_ESCAPED)
+        live = np.count_nonzero(alivev)
+        np.less_equal(a2v, entry2, out=hitv)
+        hitv &= alivev
+        if hitv.any():
+            u = nxt[0]
+            if m == 1:
+                np.multiply(zv, ma, out=u)
+                np.sqrt(a2v, out=rhsv)
+            else:
+                np.square(zv, out=u) if m == 2 else np.power(zv, m, out=u)
+                u *= ma
+                np.power(a2v, m / 2, out=rhsv)
+            rhsv *= cos_lim
+            hitv &= np.less_equal(nxt[2], rhsv, out=angv)
+            sel = np.flatnonzero(hitv)
+            if sel.size:
+                if m == 1:
+                    retire(sel, 0)
+                else:
+                    diff = np.abs(_wrap_angle(np.angle(zv[sel])[:, None] - v_args[None, :]))
+                    retire(sel, np.argmin(diff, axis=1))
+                live -= sel.size
+        if live == 0:
             break
-        z = fm(z)
-        a2 = z.real * z.real + z.imag * z.imag
-        esc = a2 > r_esc2
-        if esc.any():
-            labels[idx[esc]] = LABEL_ESCAPED
-            steps[idx[esc]] = n
-            z, idx, a2 = z[~esc], idx[~esc], a2[~esc]
-            if idx.size == 0:
-                break
-        live = a2 > 0
-        settled = np.zeros(idx.size, dtype=bool)
-        if live.any():
-            hit = _settle(z[live], idx[live], n)
-            settled[np.flatnonzero(live)[hit]] = True
-        if settled.any():
-            z, idx = z[~settled], idx[~settled]
+        if 2 * live < slots:
+            np.compress(alivev, zv, out=nxt[0][:live])
+            idx = np.compress(alivev, idxv)
+            slots = live
+            cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, nxt[0].base,
+                                                                  zv.base)
     return labels, steps
 
 

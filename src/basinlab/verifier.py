@@ -286,10 +286,11 @@ class TheoremCertificate:
 
     def bounds_to_csv(self, path) -> None:
         lines = ["re,im,k,l,bound,certified"]
-        for v, k, l, b, ok in zip(self.point_values, self.point_k, self.point_l,
-                                  self.point_bounds, self.certified_mask):
-            btxt = repr(float(b)) if math.isfinite(b) else "inf"
-            lines.append(f"{v.real!r},{v.imag!r},{int(k)},{int(l)},{btxt},{int(ok)}")
+        for v, k, l, b, ok in zip(self.point_values.tolist(), self.point_k.tolist(),
+                                  self.point_l.tolist(), self.point_bounds.tolist(),
+                                  self.certified_mask.tolist()):
+            btxt = repr(b) if math.isfinite(b) else "inf"
+            lines.append(f"{v.real!r},{v.imag!r},{k},{l},{btxt},{int(ok)}")
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
 

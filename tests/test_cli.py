@@ -225,11 +225,8 @@ def test_enumerate_q_writes_the_certified_q(tmp_path, capsys):
     cli.main(["--out-dir", str(tmp_path / "v"), "verify", *argv, "--C", "2", "--dump-bounds"])
 
     def provenance(path):
-        # bounds.csv spells its coordinates as numpy reprs, np.float64(x)
         rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
-        return [(float(x.removeprefix("np.float64(").rstrip(")")),
-                 float(y.removeprefix("np.float64(").rstrip(")")), int(k), int(l))
-                for x, y, k, l, *_ in rows]
+        return [(float(x), float(y), int(k), int(l)) for x, y, k, l, *_ in rows]
 
     points = provenance(tmp_path / "e" / "q_points.csv")
     assert len(points) > 4

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from basinlab.errors import (LinearMap, NotInBasin, NotParabolic, NumericOverflo
                              PointCapExceeded)
 from basinlab.parabolic import (DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
                                  classify_batch, preimages_batch, quantize)
+from basinlab.raster import RasterGrid, Window, _axis_sampling_window, classify_grid
 
 
 class TestAnalyze:
@@ -147,6 +149,57 @@ class TestClassifyDirection:
         assert rec.status is status.get(int(labels[0]), OrbitStatus.CONVERGED)
         assert rec.direction == (int(labels[0]) if rec.converged else None)
         assert len(rec.points) == int(steps[0]) + 1
+
+
+def _grid_points(window, resolution):
+    """Pixel centres of classify_grid's raster over the window, row-major."""
+    if window.width >= window.height:
+        nx, ny = resolution, max(1, round(resolution * window.height / window.width))
+    else:
+        nx, ny = max(1, round(resolution * window.width / window.height)), resolution
+    xs, ys = RasterGrid(window, nx, ny, None, 1, 1).pixel_centers()
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
+
+
+class TestClassifyBatchKernel:
+    # sha256 of labels.tobytes() + steps.tobytes(), taken from the classifier
+    # that tested the gate in the chart w = -1/(m a z^m) with fresh arrays per
+    # step; the in-place z-plane kernel must reproduce them bit for bit
+    @pytest.mark.parametrize("coefficients,window,resolution,n_max,digest", [
+        ([0, 1, 1], Window(-0.25 + 0j, 1.5, 1.5), 128, 2000,
+         "63cfbb6e118ccce81e1105e0a4cf06c5961db9226d9bf544cac0b053f0c3a22f"),
+        ([0, 1, 0, 1], Window(0j, 2.0, 2.0), 128, 4000,
+         "82ece98d2022ef04791873848bb23b9d16103685115e733f9c9d17d6fdd606fe"),
+        ([0, 1, 1, 1], _axis_sampling_window(0.3, 0.3, 256), 256, 10000,
+         "e87d6b036b9a69d14eb180143b31de72fafa36d460dc862278e9996596f1ca4a"),
+    ])
+    def test_pinned_output(self, coefficients, window, resolution, n_max, digest):
+        fm, _ = analyze_parabolic(coefficients)
+        labels, steps = classify_batch(fm, _grid_points(window, resolution), n_max)
+        assert hashlib.sha256(labels.tobytes() + steps.tobytes()).hexdigest() == digest
+
+    def test_orbits_on_the_fixed_point_stop_at_once(self, quad_map):
+        # 0 is the fixed point and f(-1) = 0; neither is ever judged, and
+        # neither may keep the kernel iterating to n_max
+        fm, _ = quad_map
+        labels, steps = classify_batch(fm, np.array([0, -1, -0.5]), 10 ** 6)
+        assert labels.tolist() == [LABEL_UNDECIDED, LABEL_UNDECIDED, 0]
+        assert steps.tolist() == [10 ** 6, 10 ** 6, 206]
+
+    def test_threaded_grid_matches_one_thread(self, quad_map, monkeypatch):
+        fm, _ = quad_map
+        window = Window(-0.25 + 0j, 1.5, 1.5)
+        monkeypatch.setenv("BASINLAB_THREADS", "1")
+        single = classify_grid(fm, window, 128, 2000).labels
+        monkeypatch.setenv("BASINLAB_THREADS", "2")
+        assert np.array_equal(classify_grid(fm, window, 128, 2000).labels, single)
+
+    def test_horner_into_buffer(self, perturbed_map):
+        fm, _ = perturbed_map
+        z = np.array([0.3 - 0.2j, -1.5, 2j, 0])
+        out = np.empty_like(z)
+        assert fm(z, out=out) is out
+        assert np.array_equal(out.view(float), fm(z).view(float))
 
 
 class TestLemmaAsymptotics:

@@ -165,6 +165,9 @@ class TestVerifyTheorem:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "re,im,k,l,bound,certified"
         assert len(lines) == small_cert.n_points + 1
+        for line in lines[1:]:
+            x, y, *_ = line.split(",")
+            float(x), float(y)  # plain floats, not numpy reprs
 
 
 class TestTwoPetalCertificate:
