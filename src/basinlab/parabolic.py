@@ -219,7 +219,8 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     in the chart w = -1/u, u = m a z^m, tested in the z plane without a
     division: |w| >= rho2 is |z|^2 <= (|ma| rho2)^(-2/m), and
     |arg w| <= pi - gap_omega is Re u <= cos(gap_omega) |ma| |z|^m. Escape
-    is |z|^2 > escape_radius^2 from step 1 on. An orbit on the fixed point
+    is |z|^2 > escape_radius^2 from step 1 on, and an iterate that overflowed
+    to inf or nan counts as escaped at that step. An orbit on the fixed point
     (z = 0 at the start, |z|^2 = 0 after a step, as for f(z) = 0) is never
     judged: it is dropped at once and stays LABEL_UNDECIDED with n_max steps.
 
@@ -268,8 +269,9 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
             np.not_equal(zv, 0, out=alivev)
         else:
             np.greater(a2v, 0.0, out=alivev)
-            if np.fmax.reduce(a2v) > r_esc2:
-                retire(np.flatnonzero(np.greater(a2v, r_esc2, out=hitv)), LABEL_ESCAPED)
+            if not np.max(a2v) <= r_esc2:  # np.max propagates nan
+                np.less_equal(a2v, r_esc2, out=hitv)
+                retire(np.flatnonzero(np.logical_not(hitv, out=hitv)), LABEL_ESCAPED)
         live = np.count_nonzero(alivev)
         np.less_equal(a2v, entry2, out=hitv)
         hitv &= alivev
@@ -418,7 +420,9 @@ class QEnumeration:
 
     Parallel arrays sorted by (k, l, re, im): value[i] satisfies
     f^l[i](value[i]) = f^k[i](root) up to residual[i]. Every point lies in the
-    basin of `direction`, the direction root classified into.
+    basin of `direction`, the direction root classified into. parent[i] is
+    the index of f(value[i]), recorded by enumerate_Q; it is -1 only for the
+    orbit end (k_max, 0), whose image was never enumerated.
     """
 
     root: complex
@@ -427,6 +431,7 @@ class QEnumeration:
     k: np.ndarray
     l: np.ndarray
     residual: np.ndarray
+    parent: np.ndarray
     k_max: int
     l_max: int
 
@@ -467,9 +472,10 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     Expansion runs level by level: one preimages_batch call solves level l
     for every k. The result is sorted by (k, l, re, im) and deduplicated on
     the quantized grid keeping first occurrences, so it is independent of
-    expansion order. Raises PointCapExceeded as soon as a level would take
-    the raw count past point_cap, so no caller ever sees part of the levels
-    it asked for.
+    expansion order. A point's parent is the target it was solved from, or
+    the next orbit point, taken through the same dedup. Raises
+    PointCapExceeded as soon as a level would take the raw count past
+    point_cap, so no caller ever sees part of the levels it asked for.
     """
     probe = classify_direction(fm, q, PROBE_STEPS)
     if not probe.converged or direction not in (None, probe.direction):
@@ -481,12 +487,13 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
         orbit.append(fm(orbit[-1]))
     orbit = np.array(orbit, dtype=complex)
 
+    # ups[i] is the raw index of f(vals[i]); -1 at the orbit end
     frontier, frontier_k = orbit, np.arange(k_max + 1)
     vals, ks, ls = [frontier], [frontier_k], [np.zeros(k_max + 1, dtype=int)]
-    count = frontier.size
+    ups = [np.r_[1:k_max + 1, -1]]
+    count = frontier.size  # raw points so far; the frontier is the last frontier.size
     for l in range(1, l_max + 1):
-        count += frontier.size * fm.degree
-        if count > point_cap:
+        if count + frontier.size * fm.degree > point_cap:
             raise PointCapExceeded(f"Q for k_max={k_max}, l_max={l_max} passes the point "
                                    f"cap of {point_cap} at level l={l}")
         roots = preimages_batch(fm, frontier).ravel()
@@ -494,16 +501,25 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
         vals.append(roots)
         ks.append(roots_k)
         ls.append(np.full(roots.size, l))
+        ups.append(np.repeat(np.arange(count - frontier.size, count), fm.degree))
+        count += roots.size
         frontier, frontier_k = roots, roots_k
 
-    vals, ks, ls = np.concatenate(vals), np.concatenate(ks), np.concatenate(ls)
+    vals, ks, ls, ups = (np.concatenate(x) for x in (vals, ks, ls, ups))
     order = np.lexsort((vals.imag, vals.real, ls, ks))
     keys = quantize(vals[order])
     by_key = np.lexsort((keys["im"], keys["re"]))  # stable: ties stay in (k, l, re, im) order
     sorted_keys = keys[by_key]
-    first = by_key[np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]]
-    kept = order[np.sort(first)]
-    vals, ks, ls = vals[kept], ks[kept], ls[kept]
+    new_cell = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+    first = np.zeros(vals.size, dtype=bool)  # over sorted positions: first of its cell
+    first[by_key[new_cell]] = True
+    kept = order[first]
+    # rep[i]: output index of the cell of raw point i, cells numbered by the
+    # cumulative sum of new-cell flags; rep[-1] = -1 passes the orbit end on.
+    cell_out = (np.cumsum(first) - 1)[by_key[new_cell]]
+    rep = np.full(vals.size + 1, -1)
+    rep[order[by_key]] = cell_out[np.cumsum(new_cell) - 1]
+    vals, ks, ls, parent = vals[kept], ks[kept], ls[kept], rep[ups[kept]]
 
     # Independent residual verification: iterate each point forward l steps
     # and compare against the stored orbit target.
@@ -515,5 +531,5 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
         if step < l_max:
             cur = fm(cur)
 
-    return QEnumeration(complex(q), probe.direction, vals, ks, ls, residuals,
+    return QEnumeration(complex(q), probe.direction, vals, ks, ls, residuals, parent,
                         k_max, l_max)

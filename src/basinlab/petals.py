@@ -201,9 +201,6 @@ def construct_pacman(fm: ParabolicMap, theta0: float) -> PacManConstruction:
                 lo = mid
     rho0 = hi
     bound = estimate_remainder(fm, rho0)
-    while bound >= target:
-        rho0 *= 1.05
-        bound = estimate_remainder(fm, rho0)
 
     s = math.sin(gap / 2.0)
     rho1 = rho0 / s
@@ -234,7 +231,6 @@ class InvarianceReport:
 
 def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
                            n_steps: int = 1000, samples: int = 10000,
-                           outer_radius: float | None = None,
                            seed: int = 0) -> InvarianceReport:
     """Iterate quasi-random points of the inner pacman of direction 0, count
     exits from the outer.
@@ -247,7 +243,6 @@ def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
     """
     from scipy.stats import qmc  # deferred: slow to import, and only this function uses it
 
-    outer = pm.R0 if outer_radius is None else outer_radius
     axis = pm.attraction_args[0]
     half = math.pi / pm.m - pm.theta0
     n_bulk = samples - samples // 10
@@ -279,7 +274,7 @@ def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
         za = z[alive]
         ra = np.abs(za)
         off = np.abs((np.angle(za) - axis + math.pi) % _TWO_PI - math.pi)
-        margin = np.minimum(outer - ra, ra * (half - off))
+        margin = np.minimum(pm.R0 - ra, ra * (half - off))
         out = margin <= 0.0
         if out.any():
             violations += int(out.sum())

@@ -151,14 +151,9 @@ def _axis_sampling_window(R: float, theta0: float, resolution: int) -> Window:
 
 
 def prop3_disjointness(fm: ParabolicMap, R: float, theta0: float,
-                       resolution: int, n_max: int = 10000,
-                       _merge_seeds: bool = False) -> WedgeReport:
+                       resolution: int, n_max: int = 10000) -> WedgeReport:
     """Flood the basin pixels touching each edge ray of the wedge
-    {0 < r < R, |arg z| < theta0} and report whether the two fills meet.
-
-    `_merge_seeds` deliberately seeds both fills from the same edge, which must
-    force an overlap; it exists to sanity-check the detector.
-    """
+    {0 < r < R, |arg z| < theta0} and report whether the two fills meet."""
     window = _axis_sampling_window(R, theta0, resolution)
     grid = classify_grid(fm, window, resolution, n_max)
     xs, ys = grid.pixel_centers()
@@ -175,7 +170,7 @@ def prop3_disjointness(fm: ParabolicMap, R: float, theta0: float,
     near1 = np.abs(y * math.cos(theta0) - x * math.sin(theta0)) <= tol
     near2 = np.abs(y * math.cos(theta0) + x * math.sin(theta0)) <= tol
     ids1 = set(np.unique(comp[basin & near1])) - {0}
-    ids2 = set(np.unique(comp[basin & (near1 if _merge_seeds else near2)])) - {0}
+    ids2 = set(np.unique(comp[basin & near2])) - {0}
     s1 = np.isin(comp, sorted(ids1))
     s2 = np.isin(comp, sorted(ids2))
     overlap = int(np.sum(s1 & s2))

@@ -23,11 +23,11 @@ from .errors import ConstructionFailed, OutsideComparisonDomain
 from .kobayashi import (DistanceBound, ModelDomain, bound_case1, bound_case2_horizontal,
                         dist_uv_arrays, kappa_infimum, kobayashi_disk_clearance)
 from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q,
-                        preimages_batch, quantize)
+                        preimages_batch)
 from .petals import PacManConstruction, construct_pacman
 
 _TWO_PI = 2.0 * math.pi
-_CLOSURE_RESIDUAL_TOL = 1e-8  # |f^d(w) - z0| allowed for a depth-d preimage w of z0
+_CLOSURE_RESIDUAL_TOL = 1e-8  # |f^d(w) - z0| on preimages w of z0, |f(v) - value[parent]| on Q
 
 
 @dataclass(frozen=True)
@@ -380,10 +380,10 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
     """Mechanical premises of the preimage-closure argument on computed data.
 
     Every depth-d preimage of z0 must iterate forward onto z0 within the
-    residual tolerance, and every enumerated point's forward image must land
-    (up to the dedup quantum) on a point that was itself certified at >= C.
-    Orbit points at the k_max edge have no stored image and are counted as
-    frontier skips, not failures.
+    residual tolerance. A certified point v's image is its recorded parent
+    p, which must be certified (else image_outside_sector), lie within the
+    residual tolerance of f(v) and carry a bound >= C (else image_misses).
+    The orbit end (k_max, 0) has no image: a frontier skip, not a failure.
     """
     if not cert.passed:
         return ClosureReport(depth, "precondition_failed")
@@ -407,31 +407,17 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
         if res >= _CLOSURE_RESIDUAL_TOL:
             report.residual_failures += 1
 
-    # Sorted grid keys of the certified points; every image is looked up in
-    # its own cell first, then in the 8 neighbouring cells.
-    ok = cert.certified_mask
-    keys = quantize(cert.point_values[ok])
-    by_key = np.lexsort((keys["im"], keys["re"]))
-    keys, bounds = keys[by_key], cert.point_bounds[ok][by_key]
-    k_max = cert.enumeration.k_max
-    scope = ok & ~((cert.point_l == 0) & (cert.point_k == k_max))
-    report.frontier_skips = int(np.sum(ok & ~scope))
-    images = fm(cert.point_values[scope])
-    _, img_inside = certify_points(cert.params, images, _rotated_polar(cert.params, images))
     # The immediate component is forward invariant inside its sector, so a
     # point whose image leaves the sector was never in it and is out of scope.
-    report.image_outside_sector = int(np.sum(~img_inside))
-    img_keys = quantize(images[img_inside])
-    hit = np.full(img_keys.size, -np.inf)  # -inf: no certified point found yet
-    for dk in (0, -1, 1):
-        for di in (0, -1, 1):
-            todo = np.flatnonzero(hit == -np.inf)
-            cell = img_keys[todo]
-            cell["re"] += dk
-            cell["im"] += di
-            pos = np.minimum(np.searchsorted(keys, cell), keys.size - 1)
-            match = keys[pos] == cell
-            hit[todo[match]] = bounds[pos[match]]
-    report.checked_images = int(img_keys.size)
-    report.image_misses = int(np.sum(hit < cert.params.C - 1e-12))
+    ok, parent, values = cert.certified_mask, cert.enumeration.parent, cert.point_values
+    report.frontier_skips = int(np.sum(ok & (parent < 0)))
+    src = np.flatnonzero(ok & (parent >= 0))
+    inside = ok[parent[src]]
+    report.image_outside_sector = int(np.sum(~inside))
+    src = src[inside]
+    dst = parent[src]
+    miss = ((np.abs(fm(values[src]) - values[dst]) >= _CLOSURE_RESIDUAL_TOL)
+            | (cert.point_bounds[dst] < cert.params.C))
+    report.checked_images = int(src.size)
+    report.image_misses = int(np.sum(miss))
     return report

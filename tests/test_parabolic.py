@@ -13,6 +13,7 @@ from basinlab.errors import (LinearMap, NotInBasin, NotParabolic, NumericOverflo
 from basinlab.parabolic import (DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
                                  classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window, classify_grid
+from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
 
 
 class TestAnalyze:
@@ -178,6 +179,15 @@ class TestClassifyBatchKernel:
         labels, steps = classify_batch(fm, _grid_points(window, resolution), n_max)
         assert hashlib.sha256(labels.tobytes() + steps.tobytes()).hexdigest() == digest
 
+    def test_non_finite_iterates_escape(self, cubic_map):
+        # the first iterate of each start overflows to nan, which the test
+        # |z|^2 > R^2 alone never flags
+        fm, _ = cubic_map
+        with np.errstate(over="ignore", invalid="ignore"):
+            labels, steps = classify_batch(fm, np.array([1e300, 1e300 + 1e300j, np.inf]), 100)
+        assert labels.tolist() == [LABEL_ESCAPED] * 3
+        assert steps.tolist() == [1, 1, 1]
+
     def test_orbits_on_the_fixed_point_stop_at_once(self, quad_map):
         # 0 is the fixed point and f(-1) = 0; neither is ever judged, and
         # neither may keep the kernel iterating to n_max
@@ -333,6 +343,19 @@ class TestEnumerateQ:
         for value, kl in ((-0.5, (0, 0)), (-0.25, (1, 0))):
             i = np.flatnonzero(np.abs(qe.values() - value) < 1e-9)
             assert [(int(qe.k[j]), int(qe.l[j])) for j in i] == [kl]
+
+    @pytest.mark.parametrize("poly, q, k_max, l_max", [
+        ("quad_map", -0.5, 20, 10), ("cubic_map", 0.3j, 15, 8), ("perturbed_map", -0.2, 12, 6)])
+    def test_parent_is_the_image(self, request, poly, q, k_max, l_max):
+        fm, _ = request.getfixturevalue(poly)
+        qe = enumerate_Q(fm, q, k_max, l_max)
+        end = np.flatnonzero(qe.parent < 0)
+        assert [(int(qe.k[i]), int(qe.l[i])) for i in end] == [(k_max, 0)]
+        has = qe.parent >= 0
+        v, p = qe.value[has], qe.parent[has]
+        # a parent merged by the dedup can sit earlier on the same diagonal
+        assert np.array_equal(qe.k[p] - qe.l[p], qe.k[has] - qe.l[has] + 1)
+        assert np.abs(fm(v) - qe.value[p]).max() < _CLOSURE_RESIDUAL_TOL
 
     def test_quantize_rejects_keys_beyond_int64(self):
         with pytest.raises(NumericOverflow):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -147,11 +148,12 @@ class TestInvariance:
         assert rep.worst_margin > 0
 
     def test_detector_fires_on_shrunk_outer(self, quad_map):
+        # an outer pacman of half the inner radius is left from the start
         fm, _ = quad_map
         pm = construct_pacman(fm, 0.1)
-        rep = check_petal_invariance(fm, pm, n_steps=50, samples=1000,
-                                     outer_radius=pm.R0_prime / 2)
-        assert rep.violations > 0
+        shrunk = dataclasses.replace(pm, R0=pm.R0_prime / 2)
+        rep = check_petal_invariance(fm, shrunk, n_steps=50, samples=1000)
+        assert rep.violations == 525
 
     def test_real_axis_point_converges_inward(self, quad_map):
         fm, _ = quad_map

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from basinlab import (Window, classify_grid, construct_pacman,
+from basinlab import (Window, analyze_parabolic, classify_grid, construct_pacman,
                       immediate_component, prop3_disjointness, write_image)
 from basinlab.errors import SeedNotInBasin
 from basinlab.parabolic import LABEL_ESCAPED
-from basinlab.raster import prop3_disjointness as wedge_check
 
 STD_WINDOW = Window(complex(-0.25, 0.0), 1.5, 1.5)
 
@@ -89,11 +88,13 @@ class TestWedgeDisjointness:
         assert rep.disjoint and rep.overlap_pixels == 0
         assert rep.s1_pixels > 0 and rep.s2_pixels > 0
 
-    def test_detector_fires_when_seeded_same_edge(self, perturbed_map):
-        fm, _ = perturbed_map
-        rep = wedge_check(fm, 0.3, 0.3, 256, n_max=6000, _merge_seeds=True)
-        assert not rep.disjoint or rep.s1_pixels == 0  # same-edge fills must collide
-        assert rep.overlap_pixels > 0
+    def test_detector_fires_on_attracting_axis(self):
+        # z - z^2 - z^3 attracts along the positive real axis, so the wedge
+        # about it holds one basin lobe that touches both edge rays
+        fm, _ = analyze_parabolic([0, 1, -1, -1])
+        rep = prop3_disjointness(fm, 0.3, 0.3, 256, n_max=6000)
+        assert not rep.disjoint
+        assert rep.overlap_pixels == 18850
 
     def test_stable_under_doubling(self, perturbed_map):
         fm, _ = perturbed_map

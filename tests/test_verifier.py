@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,19 @@ class TestClosure:
         assert rep.n_preimages == 2
         assert rep.residual_failures == 0
         assert rep.image_misses == 0
+
+    def test_tampered_parent_is_a_miss(self, quad_map, small_cert):
+        # every image is read off the recorded parent, so one wrong entry
+        # pointing at a certified point far from f(v) must count as a miss
+        fm, _ = quad_map
+        qe, ok = small_cert.enumeration, small_cert.certified_mask
+        parent = qe.parent.copy()
+        i = int(np.flatnonzero(ok & (parent >= 0))[0])
+        parent[i] = int(np.argmax(np.where(ok, np.abs(qe.value - fm(qe.value[i])), -1.0)))
+        tampered = dataclasses.replace(small_cert,
+                                       enumeration=dataclasses.replace(qe, parent=parent))
+        assert corollary_d_closure(fm, small_cert, 1).image_misses == 0
+        assert corollary_d_closure(fm, tampered, 1).image_misses >= 1
 
     def test_depth_zero_trivial(self, quad_map, small_cert):
         fm, _ = quad_map
