@@ -258,50 +258,51 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
 
     slots = size
     cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, start, np.empty_like(start))
-    for step in range(n_max + 1):
-        if step:
-            fm(cur[0], out=nxt[0])
-            cur, nxt = nxt, cur
-        zv = cur[0]
-        np.multiply(cur[1], cur[1], out=nxt[1])  # |z|^2 = re*re + im*im, via the free buffer
-        np.add(nxt[2], nxt[3], out=a2v)
-        if step == 0:
-            np.not_equal(zv, 0, out=alivev)
-        else:
-            np.greater(a2v, 0.0, out=alivev)
-            if not np.max(a2v) <= r_esc2:  # np.max propagates nan
-                np.less_equal(a2v, r_esc2, out=hitv)
-                retire(np.flatnonzero(np.logical_not(hitv, out=hitv)), LABEL_ESCAPED)
-        live = np.count_nonzero(alivev)
-        np.less_equal(a2v, entry2, out=hitv)
-        hitv &= alivev
-        if hitv.any():
-            u = nxt[0]
-            if m == 1:
-                np.multiply(zv, ma, out=u)
-                np.sqrt(a2v, out=rhsv)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow to inf/nan is escape
+        for step in range(n_max + 1):
+            if step:
+                fm(cur[0], out=nxt[0])
+                cur, nxt = nxt, cur
+            zv = cur[0]
+            np.multiply(cur[1], cur[1], out=nxt[1])  # |z|^2 = re*re + im*im, via the free buffer
+            np.add(nxt[2], nxt[3], out=a2v)
+            if step == 0:
+                np.not_equal(zv, 0, out=alivev)
             else:
-                np.square(zv, out=u) if m == 2 else np.power(zv, m, out=u)
-                u *= ma
-                np.power(a2v, m / 2, out=rhsv)
-            rhsv *= cos_lim
-            hitv &= np.less_equal(nxt[2], rhsv, out=angv)
-            sel = np.flatnonzero(hitv)
-            if sel.size:
+                np.greater(a2v, 0.0, out=alivev)
+                if not np.max(a2v) <= r_esc2:  # np.max propagates nan
+                    np.less_equal(a2v, r_esc2, out=hitv)
+                    retire(np.flatnonzero(np.logical_not(hitv, out=hitv)), LABEL_ESCAPED)
+            live = np.count_nonzero(alivev)
+            np.less_equal(a2v, entry2, out=hitv)
+            hitv &= alivev
+            if hitv.any():
+                u = nxt[0]
                 if m == 1:
-                    retire(sel, 0)
+                    np.multiply(zv, ma, out=u)
+                    np.sqrt(a2v, out=rhsv)
                 else:
-                    diff = np.abs(_wrap_angle(np.angle(zv[sel])[:, None] - v_args[None, :]))
-                    retire(sel, np.argmin(diff, axis=1))
-                live -= sel.size
-        if live == 0:
-            break
-        if 2 * live < slots:
-            np.compress(alivev, zv, out=nxt[0][:live])
-            idx = np.compress(alivev, idxv)
-            slots = live
-            cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, nxt[0].base,
-                                                                  zv.base)
+                    np.square(zv, out=u) if m == 2 else np.power(zv, m, out=u)
+                    u *= ma
+                    np.power(a2v, m / 2, out=rhsv)
+                rhsv *= cos_lim
+                hitv &= np.less_equal(nxt[2], rhsv, out=angv)
+                sel = np.flatnonzero(hitv)
+                if sel.size:
+                    if m == 1:
+                        retire(sel, 0)
+                    else:
+                        diff = np.abs(_wrap_angle(np.angle(zv[sel])[:, None] - v_args[None, :]))
+                        retire(sel, np.argmin(diff, axis=1))
+                    live -= sel.size
+            if live == 0:
+                break
+            if 2 * live < slots:
+                np.compress(alivev, zv, out=nxt[0][:live])
+                idx = np.compress(alivev, idxv)
+                slots = live
+                cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, nxt[0].base,
+                                                                      zv.base)
     return labels, steps
 
 

@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import IoFailure, SeedNotInBasin
 from .parabolic import LABEL_ESCAPED, LABEL_UNDECIDED, ParabolicMap, classify_batch
@@ -107,6 +106,7 @@ def classify_grid(fm: ParabolicMap, window: Window, resolution: int,
 
 def immediate_component(grid: RasterGrid, seed: complex) -> np.ndarray:
     """4-connected component of same-direction pixels containing the seed."""
+    from scipy import ndimage  # deferred: slow to import, and only the flood fills use it
     i, j = grid.pixel_index(seed)
     lab = int(grid.labels[i, j])
     if lab < 0:
@@ -154,6 +154,7 @@ def prop3_disjointness(fm: ParabolicMap, R: float, theta0: float,
                        resolution: int, n_max: int = 10000) -> WedgeReport:
     """Flood the basin pixels touching each edge ray of the wedge
     {0 < r < R, |arg z| < theta0} and report whether the two fills meet."""
+    from scipy import ndimage  # deferred: slow to import, and only the flood fills use it
     window = _axis_sampling_window(R, theta0, resolution)
     grid = classify_grid(fm, window, resolution, n_max)
     xs, ys = grid.pixel_centers()

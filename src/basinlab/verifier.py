@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstructionFailed, OutsideComparisonDomain
+from .errors import (ConstructionFailed, NonPositiveImaginary, OutsideComparisonDomain,
+                     SmallRealPart)
 from .kobayashi import (DistanceBound, ModelDomain, bound_case1, bound_case2_horizontal,
                         dist_uv_arrays, kappa_infimum, kobayashi_disk_clearance)
 from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q,
@@ -193,7 +194,7 @@ def _cross_checks(params: TheoremParams, r: np.ndarray, ang: np.ndarray) -> dict
     }
     try:
         out["horizontal"] = bound_case2_horizontal(params.z0_normalized, params.C).value
-    except Exception:  # noqa: BLE001 - recorded only when defined
+    except (SmallRealPart, NonPositiveImaginary):  # recorded only when defined
         out["horizontal"] = None
     return out
 

@@ -234,8 +234,8 @@ def test_enumerate_q_writes_the_certified_q(tmp_path, capsys):
 
 
 def test_import_loads_neither_optimize_nor_stats():
-    code = ("import sys, basinlab; "
-            "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])")
+    # nor any other scipy module: each scipy use is imported where it is used
+    code = "import sys, basinlab; print([m for m in sys.modules if m.startswith('scipy')])"
     path = os.pathsep.join(filter(None, [_PKG_PARENT, os.environ.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)

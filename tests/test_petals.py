@@ -8,8 +8,10 @@ import pytest
 from basinlab import (FatouChartValue, PacManDomain, analyze_parabolic,
                       check_petal_invariance, construct_pacman,
                       estimate_remainder, fatou_chart, fatou_chart_inverse)
+from basinlab import petals
 from basinlab.errors import DegenerateAngle, OriginInput
 from basinlab.petals import conjugated_map
+from basinlab.verifier import choose_parameters
 
 
 def closed_form_F(w):
@@ -84,6 +86,47 @@ class TestRemainder:
         fm, _ = analyze_parabolic(coeffs)
         vals = [estimate_remainder(fm, rho) for rho in (20, 40, 80, 160, 320)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+
+
+def grid_remainder(fm, rho):
+    """Reference: twice the max of |F(w) - w - 1| on a log-radial grid of 32
+    radii (r down to r/40) by 128 angles over the disc |z| <= r(rho)."""
+    m, a = fm.m, fm.a
+    r_outer = (1.0 / (m * abs(a) * rho)) ** (1.0 / m)
+    radii = r_outer * np.exp(np.linspace(0.0, -math.log(40.0), 32))
+    angles = 2.0 * math.pi * (np.arange(128) + 0.5) / 128
+    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rem = np.abs(-1.0 / (m * a * fm(z) ** m) + 1.0 / (m * a * z ** m) - 1.0)
+    rem[~np.isfinite(rem)] = np.inf
+    return 2.0 * float(np.max(rem))
+
+
+class TestOneCircle:
+    @pytest.mark.parametrize("coeffs", [[0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1]])
+    @pytest.mark.parametrize("C", [None, 0.5, 2.0, 4.0])
+    def test_grid_gives_the_same_construction(self, coeffs, C, monkeypatch):
+        # the circle is the grid's outer ring, and the remainder's maximum
+        # over the disc lies on it: membership theta0 (C None) and recipe theta0
+        fm, _ = analyze_parabolic(coeffs)
+        if C is None:
+            theta0 = min(0.5, 1.2 / fm.m)
+        else:
+            theta0 = 0.5 * min(1.0 / (2.0 * C * math.exp(C)), math.pi / 6.0)
+        circle = construct_pacman(fm, theta0)
+        monkeypatch.setattr(petals, "estimate_remainder", grid_remainder)
+        assert construct_pacman(fm, theta0) == circle
+
+    def test_disc_holding_a_zero_of_f_is_inf(self, quad_map):
+        # r = 1/0.9 > 1 = |-1|, and f(-1) = 0 is a pole of the remainder
+        fm, _ = quad_map
+        assert estimate_remainder(fm, 0.9) == math.inf
+
+    def test_recipe_past_the_grid_noise_floor(self):
+        # the grid's inner radii read cancellation noise above theta0/3 here
+        fm, _ = analyze_parabolic([0, 1, 0, 1, 1])
+        params = choose_parameters(fm, 5.0)
+        assert params.pacman.remainder_bound < params.theta0 / 3.0
 
 
 class TestPacManDomain:

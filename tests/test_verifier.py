@@ -110,6 +110,7 @@ class TestVerifyTheorem:
         cert = verify_theorem(fm, 2.0, -0.5, 2, 1, 0, z0_override=-0.5)
         assert cert.global_min == pytest.approx(0.0, abs=1e-12)
         assert not cert.passed
+        assert cert.cross_checks["horizontal"] is None  # Re z0_normalized = -1
 
     def test_monotone_in_truncation(self, quad_map):
         fm, _ = quad_map
