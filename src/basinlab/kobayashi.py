@@ -190,8 +190,28 @@ def distance_exact(domain: ModelDomain, p1, p2) -> DistanceBound:
 # Polylines: validation, length by quadrature, geodesic sampling
 # ---------------------------------------------------------------------------
 
+def _lift(ang: np.ndarray, low: float) -> np.ndarray:
+    """low + (ang - low) mod 2pi, elementwise. np.fmod with 2pi added to a
+    negative remainder equals Python's % apart from the sign of a zero
+    remainder, which adding low removes; it is several times faster."""
+    rem = np.subtract(ang, low)
+    np.fmod(rem, _TWO_PI, out=rem)
+    np.add(rem, _TWO_PI, out=rem, where=rem < 0)
+    rem += low
+    return rem
+
+
 def _vertex_arrays(domain: ModelDomain, vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Complex positions and argument lifts of the polyline vertices."""
+    """Complex positions and argument lifts of the polyline vertices.
+
+    Off the double sector, an array or a list without LiftedPoint is taken
+    whole; its lifts only feed path_length's cut-crossing test.
+    """
+    if domain.tag != "double_sector" and (
+            isinstance(vertices, np.ndarray)
+            or not any(isinstance(p, LiftedPoint) for p in vertices)):
+        zs = np.asarray(vertices, dtype=complex)
+        return zs, _lift(np.angle(zs), domain.arg_low)
     zs = np.empty(len(vertices), dtype=complex)
     thetas = np.empty(len(vertices))
     for i, p in enumerate(vertices):
@@ -212,8 +232,7 @@ def _chord_rtheta(domain: ModelDomain, za, zb, tha, t: np.ndarray):
     r = np.abs(z)
     ang = np.angle(z)
     if domain.tag != "double_sector":
-        theta = domain.arg_low + (ang - domain.arg_low) % _TWO_PI
-        return r, theta
+        return r, _lift(ang, domain.arg_low)
     d0 = (ang[:, 0] - np.angle(za) + math.pi) % _TWO_PI - math.pi
     steps = (np.diff(ang, axis=1) + math.pi) % _TWO_PI - math.pi
     theta = (tha + d0)[:, None] + np.concatenate(
@@ -288,17 +307,19 @@ def _geodesic_w(domain: ModelDomain, p1, p2, n: int) -> np.ndarray:
     return c + rad * np.exp(1j * phi)
 
 
-def geodesic_polyline(domain: ModelDomain, p1, p2, n: int) -> list:
-    """n+1 points along the chart geodesic, equally spaced in arc length."""
+def geodesic_polyline(domain: ModelDomain, p1, p2, n: int) -> list | np.ndarray:
+    """n+1 points along the chart geodesic, equally spaced in arc length: a
+    list of LiftedPoint on a double sector, else a complex array."""
     ws = _geodesic_w(domain, p1, p2, n)
     inv_scale = domain.width / math.pi
     r = np.exp(inv_scale * np.log(np.abs(ws)))
     theta = domain.arg_low + inv_scale * np.angle(ws)
     if domain.tag == "double_sector":
         pts: list = [LiftedPoint(float(a), float(b)) for a, b in zip(r, theta)]
-    else:
-        pts = list(r * np.exp(1j * theta))
-    pts[0], pts[-1] = p1, p2
+        pts[0], pts[-1] = p1, p2
+        return pts
+    pts = r * np.exp(1j * theta)
+    pts[0], pts[-1] = (p.to_complex() if isinstance(p, LiftedPoint) else p for p in (p1, p2))
     return pts
 
 

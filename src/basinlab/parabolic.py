@@ -27,6 +27,7 @@ LABEL_ESCAPED = -1
 DEDUP_QUANTUM = 1e-10
 ROOT_TOL = 1e-12  # largest residual |f(z) - w| a root returned by preimages_batch may have
 PROBE_STEPS = 20000  # step budget of the one classification of q per enumeration
+_BLOCK = 1 << 15  # classify_batch block: 16 K and 32 K points tie, 64 K is slower on render 512²
 _TWO_PI = 2.0 * math.pi
 
 
@@ -224,9 +225,15 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     (z = 0 at the start, |z|^2 = 0 after a step, as for f(z) = 0) is never
     judged: it is dropped at once and stays LABEL_UNDECIDED with n_max steps.
 
-    Orbits are iterated in place between two buffers. A resolved orbit is
-    parked at 0, which f fixes, and the live orbits are compacted only once
-    fewer than half of the slots hold one.
+    Points are classified in blocks of _BLOCK, one block at a time, so the
+    working set stays in cache and the scratch memory is bounded by the block,
+    not the input: two complex buffers and the float, bool and index scratch
+    are allocated once, at min(size, _BLOCK), and reused by every block. Each
+    block is copied into a buffer, so the caller's array is never written.
+    Within a block, orbits are iterated in place between the two buffers. A
+    resolved orbit is parked at 0, which f fixes, and the live orbits are
+    compacted only once fewer than half of the slots hold one. Every orbit is
+    iterated on its own, so the blocking changes no label and no step count.
     """
     from .petals import membership_petal  # deferred: petals imports this module
 
@@ -236,13 +243,15 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     r_esc2 = fm.escape_radius ** 2
     entry2 = (abs(ma) * gate.rho2) ** (-2.0 / m)
     cos_lim = math.cos(gate.gap_omega) * abs(ma)
-    start = np.asarray(points, dtype=complex).flatten()
+    start = np.asarray(points, dtype=complex).ravel()
     size = start.size
     labels = np.full(size, LABEL_UNDECIDED, dtype=np.int32)
     steps = np.full(size, n_max, dtype=np.int32)
-    idx = np.arange(size)
-    a2, rhs = np.empty(size), np.empty(size)
-    alive, hit, ang = (np.empty(size, dtype=bool) for _ in range(3))
+    width = min(size, _BLOCK)
+    work, spare = np.empty(width, dtype=complex), np.empty(width, dtype=complex)
+    block_idx = np.arange(width)
+    a2, rhs = np.empty(width), np.empty(width)
+    alive, hit, ang = (np.empty(width, dtype=bool) for _ in range(3))
 
     def views(k, *buffers):
         # per complex buffer: the first k slots, as complex, as interleaved
@@ -251,58 +260,64 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
         return (*bufs, a2[:k], rhs[:k], alive[:k], hit[:k], ang[:k], idx[:k])
 
     def retire(sel, label):  # record slots sel at this step and park them at 0
-        labels[idxv[sel]] = label
-        steps[idxv[sel]] = step
+        block_labels[idxv[sel]] = label
+        block_steps[idxv[sel]] = step
         zv[sel] = 0
         alivev[sel] = False
 
-    slots = size
-    cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, start, np.empty_like(start))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow to inf/nan is escape
-        for step in range(n_max + 1):
-            if step:
-                fm(cur[0], out=nxt[0])
-                cur, nxt = nxt, cur
-            zv = cur[0]
-            np.multiply(cur[1], cur[1], out=nxt[1])  # |z|^2 = re*re + im*im, via the free buffer
-            np.add(nxt[2], nxt[3], out=a2v)
-            if step == 0:
-                np.not_equal(zv, 0, out=alivev)
-            else:
-                np.greater(a2v, 0.0, out=alivev)
-                if not np.max(a2v) <= r_esc2:  # np.max propagates nan
-                    np.less_equal(a2v, r_esc2, out=hitv)
-                    retire(np.flatnonzero(np.logical_not(hitv, out=hitv)), LABEL_ESCAPED)
-            live = np.count_nonzero(alivev)
-            np.less_equal(a2v, entry2, out=hitv)
-            hitv &= alivev
-            if hitv.any():
-                u = nxt[0]
-                if m == 1:
-                    np.multiply(zv, ma, out=u)
-                    np.sqrt(a2v, out=rhsv)
+        for lo in range(0, size, _BLOCK):
+            slots = min(_BLOCK, size - lo)
+            work[:slots] = start[lo:lo + slots]
+            block_labels, block_steps = labels[lo:lo + slots], steps[lo:lo + slots]
+            idx = block_idx
+            cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, work, spare)
+            for step in range(n_max + 1):
+                if step:
+                    fm(cur[0], out=nxt[0])
+                    cur, nxt = nxt, cur
+                zv = cur[0]
+                # |z|^2 = re*re + im*im, via the free buffer
+                np.multiply(cur[1], cur[1], out=nxt[1])
+                np.add(nxt[2], nxt[3], out=a2v)
+                if step == 0:
+                    np.not_equal(zv, 0, out=alivev)
                 else:
-                    np.square(zv, out=u) if m == 2 else np.power(zv, m, out=u)
-                    u *= ma
-                    np.power(a2v, m / 2, out=rhsv)
-                rhsv *= cos_lim
-                hitv &= np.less_equal(nxt[2], rhsv, out=angv)
-                sel = np.flatnonzero(hitv)
-                if sel.size:
+                    np.greater(a2v, 0.0, out=alivev)
+                    if not np.max(a2v) <= r_esc2:  # np.max propagates nan
+                        np.less_equal(a2v, r_esc2, out=hitv)
+                        retire(np.flatnonzero(np.logical_not(hitv, out=hitv)), LABEL_ESCAPED)
+                live = np.count_nonzero(alivev)
+                np.less_equal(a2v, entry2, out=hitv)
+                hitv &= alivev
+                if hitv.any():
+                    u = nxt[0]
                     if m == 1:
-                        retire(sel, 0)
+                        np.multiply(zv, ma, out=u)
+                        np.sqrt(a2v, out=rhsv)
                     else:
-                        diff = np.abs(_wrap_angle(np.angle(zv[sel])[:, None] - v_args[None, :]))
-                        retire(sel, np.argmin(diff, axis=1))
-                    live -= sel.size
-            if live == 0:
-                break
-            if 2 * live < slots:
-                np.compress(alivev, zv, out=nxt[0][:live])
-                idx = np.compress(alivev, idxv)
-                slots = live
-                cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, nxt[0].base,
-                                                                      zv.base)
+                        np.square(zv, out=u) if m == 2 else np.power(zv, m, out=u)
+                        u *= ma
+                        np.power(a2v, m / 2, out=rhsv)
+                    rhsv *= cos_lim
+                    hitv &= np.less_equal(nxt[2], rhsv, out=angv)
+                    sel = np.flatnonzero(hitv)
+                    if sel.size:
+                        if m == 1:
+                            retire(sel, 0)
+                        else:
+                            diff = np.abs(_wrap_angle(np.angle(zv[sel])[:, None]
+                                                      - v_args[None, :]))
+                            retire(sel, np.argmin(diff, axis=1))
+                        live -= sel.size
+                if live == 0:
+                    break
+                if 2 * live < slots:
+                    np.compress(alivev, zv, out=nxt[0][:live])
+                    idx = np.compress(alivev, idxv)
+                    slots = live
+                    cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, nxt[0].base,
+                                                                          zv.base)
     return labels, steps
 
 
@@ -310,12 +325,16 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
 # Simultaneous polynomial root finding (Aberth iteration)
 # ---------------------------------------------------------------------------
 
+# an overflowing iterate is judged by the checks on the result, not by a warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
     """Row i holds the deg(f) solutions of f(z) = ws[i], sorted by (re, im).
 
     Aberth simultaneous iteration to a residual a decade below ROOT_TOL
     (relative for |w| > 1), then one Newton polish; NoConvergence if a
-    residual stays above ROOT_TOL. A multiple root comes out as a cluster of
+    residual stays above ROOT_TOL or is nan, NumericOverflow if a root left
+    the range of double precision (z + z^2 = 1e300 starts the iteration on a
+    circle of radius 1e300). A multiple root comes out as a cluster of
     simple roots that each meet the target (the double root of z + z^2 at
     w = -1/4 as two roots about 1e-7 apart). Deterministic and
     row-independent: fixed initial circle, perturbation restarts drawn from a
@@ -367,7 +386,9 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
         corr = np.where(np.isfinite(corr), corr, newton)
         z[rows] = zr - corr
     res = np.max(np.abs(fm(z) - ws[:, None]), axis=1)
-    if np.any(res > np.maximum(ROOT_TOL, target)):
+    if not np.all(np.isfinite(z)):
+        raise NumericOverflow("root iteration left the range of double precision")
+    if not np.all(res <= np.maximum(ROOT_TOL, target)):  # a nan residual fails too
         raise NoConvergence(f"root residual {res.max():.3e} above tolerance {ROOT_TOL:.3e}")
 
     dp = fm.derivative(z)

@@ -58,6 +58,14 @@ class TestOrbitAndPreimages:
         payload = json.loads((tmp_path / "o" / "preimages.json").read_text())
         assert len(payload["roots"]) == 2
 
+    def test_preimages_overflow_exits_1(self, tmp_path):
+        res = run_cli(["--out-dir", "o", "preimages", "--poly", "0,1,1",
+                       "--w", "1e300"], tmp_path)
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"] == "NumericOverflow"
+        assert "RuntimeWarning" not in res.stderr
+        assert not (tmp_path / "o" / "preimages.json").exists()
+
 
 class TestVerify:
     def test_pass_and_exit_code(self, tmp_path):

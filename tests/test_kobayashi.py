@@ -13,6 +13,7 @@ from basinlab import (LiftedPoint, ModelDomain, bound_case1, bound_case2,
                       kobayashi_disk_clearance, path_length)
 from basinlab.errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
                              OutsideDomain, PathExitsDomain, SmallRealPart)
+from basinlab.kobayashi import _lift, _vertex_arrays
 
 LN2 = math.log(2.0)
 H = ModelDomain.half_plane()
@@ -180,6 +181,28 @@ class TestPathLength:
         poly = geodesic_polyline(wide, p1, p2, 4000)
         assert path_length(wide, poly) == pytest.approx(d, abs=1e-5)
         assert d > 0.5  # a full turn is genuinely far on the lift
+
+    @pytest.mark.parametrize("low", [0.0, -0.3, -math.pi, 2.5])
+    def test_lift_is_python_mod(self, low):
+        ang = np.r_[np.random.default_rng(3).uniform(-7.0, 7.0, 500),
+                    0.0, -0.0, math.pi, -math.pi, low, low - 2 * math.pi, low + 2 * math.pi]
+        expected = np.array([low + (a - low) % (2 * math.pi) for a in ang.tolist()])
+        assert _lift(ang, low).tobytes() == expected.tobytes()
+
+    def test_polyline_is_an_array_off_the_double_sector(self):
+        sector = ModelDomain.sector(-0.3, 5.5)
+        z1, z2 = 0.4 * cmath.exp(0.2j), 3.0 * cmath.exp(5.0j)
+        poly = geodesic_polyline(sector, z1, LiftedPoint.from_complex(z2, -0.3), 2000)
+        assert isinstance(poly, np.ndarray) and poly[0] == z1
+        assert poly[-1] == LiftedPoint.from_complex(z2, -0.3).to_complex()
+        # the whole-array lifts agree with the per-vertex ones to the last bits
+        zs, thetas = _vertex_arrays(sector, poly)
+        zs_loop, thetas_loop = _vertex_arrays(
+            sector, [*poly[:-1], LiftedPoint.from_complex(poly[-1], -0.3)])
+        assert zs[:-1].tobytes() == zs_loop[:-1].tobytes()
+        assert np.max(np.abs(thetas - thetas_loop)) < 1e-14
+        assert path_length(sector, poly) == pytest.approx(distance_exact(sector, z1, z2).value,
+                                                          abs=1e-5)
 
 
 class TestBounds:

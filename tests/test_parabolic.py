@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, preimages)
-from basinlab.errors import (LinearMap, NotInBasin, NotParabolic, NumericOverflow,
-                             PointCapExceeded)
-from basinlab.parabolic import (DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
+from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
+                             NumericOverflow, PointCapExceeded)
+from basinlab.parabolic import (_BLOCK, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
                                  classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window, classify_grid
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
@@ -166,7 +167,8 @@ def _grid_points(window, resolution):
 class TestClassifyBatchKernel:
     # sha256 of labels.tobytes() + steps.tobytes(), taken from the classifier
     # that tested the gate in the chart w = -1/(m a z^m) with fresh arrays per
-    # step; the in-place z-plane kernel must reproduce them bit for bit
+    # step; the in-place z-plane kernel must reproduce them bit for bit. The
+    # prop3 grid (about 38 K points) spans two blocks of _BLOCK points.
     @pytest.mark.parametrize("coefficients,window,resolution,n_max,digest", [
         ([0, 1, 1], Window(-0.25 + 0j, 1.5, 1.5), 128, 2000,
          "63cfbb6e118ccce81e1105e0a4cf06c5961db9226d9bf544cac0b053f0c3a22f"),
@@ -179,6 +181,50 @@ class TestClassifyBatchKernel:
         fm, _ = analyze_parabolic(coefficients)
         labels, steps = classify_batch(fm, _grid_points(window, resolution), n_max)
         assert hashlib.sha256(labels.tobytes() + steps.tobytes()).hexdigest() == digest
+
+    @staticmethod
+    def _mixed_starts(size):
+        # escaping, absorbed and undecided starts of z + z^2 (n_max 300), with
+        # the fixed point 0 and its preimage -1 on both sides of every block edge
+        rng = np.random.default_rng(9)
+        z = rng.uniform(-2.2, 0.8, size) + 1j * rng.uniform(-1.3, 1.3, size)
+        for edge in range(_BLOCK, size + 1, _BLOCK):
+            z[edge - 2:edge + 2] = [0, -1, -1, 0][:size - edge + 2]
+        return z
+
+    @pytest.mark.parametrize("size,cuts", [
+        (2 * _BLOCK + 17, [0, 1000, _BLOCK - 3, _BLOCK + 5, 2 * _BLOCK + 1]),
+        (2 * _BLOCK, [0, 7, _BLOCK + 2, 2 * _BLOCK - 1])])
+    def test_blocks_match_any_split(self, quad_map, size, cuts):
+        fm, _ = quad_map
+        z = self._mixed_starts(size)
+        labels, steps = classify_batch(fm, z, 300)
+        assert {LABEL_ESCAPED, LABEL_UNDECIDED, 0} <= set(labels.tolist())
+        assert np.all(steps[labels == LABEL_UNDECIDED] == 300)
+        assert np.all(labels[z == 0] == LABEL_UNDECIDED)
+        parts = [classify_batch(fm, z[lo:hi], 300) for lo, hi in zip(cuts, cuts[1:] + [size])]
+        assert np.array_equal(labels, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(steps, np.concatenate([p[1] for p in parts]))
+
+    def test_input_is_not_written(self, quad_map):
+        fm, _ = quad_map
+        z = self._mixed_starts(_BLOCK + 5)
+        before = z.copy()
+        classify_batch(fm, z, 300)
+        assert z.tobytes() == before.tobytes()
+
+    def test_working_memory_is_bounded_by_the_block(self, quad_map):
+        # the outputs take 8 bytes per point; everything else is per block
+        fm, _ = quad_map
+        size = 16 * _BLOCK
+        z = np.linspace(-2.0, 0.5, size) + 0.2j
+        tracemalloc.start()
+        try:
+            classify_batch(fm, z, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * size < 4 * 2 ** 20
 
     def test_non_finite_iterates_escape(self, cubic_map):
         # the first iterate of each start overflows to nan, which the test
@@ -265,6 +311,17 @@ class TestPreimages:
         roots = preimages_batch(fm, ws)
         res = np.abs(fm(roots) - ws[:, None])
         assert res.max() < 1e-12
+
+    def test_overflowing_target_raises_without_warning(self, quad_map):
+        # the roots of z + z^2 = 1e300 are about +-1e150, but the iteration
+        # starts on a circle of radius 1e300 and overflows
+        fm, _ = quad_map
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflow):
+                preimages(fm, 1e300)
+            with pytest.raises(NoConvergence):
+                preimages(fm, 1e100)
 
 
 class TestEnumerateQ:
