@@ -204,25 +204,19 @@ def _lift(ang: np.ndarray, low: float) -> np.ndarray:
 def _vertex_arrays(domain: ModelDomain, vertices) -> tuple[np.ndarray, np.ndarray]:
     """Complex positions and argument lifts of the polyline vertices.
 
-    Off the double sector, an array or a list without LiftedPoint is taken
-    whole; its lifts only feed path_length's cut-crossing test.
+    Off the double sector the vertices are taken as one complex array and
+    lifted into the domain's window; the lifts only feed path_length's
+    cut-crossing test. A double sector needs a declared lift per vertex.
     """
-    if domain.tag != "double_sector" and (
-            isinstance(vertices, np.ndarray)
-            or not any(isinstance(p, LiftedPoint) for p in vertices)):
+    if domain.tag != "double_sector":
+        if not isinstance(vertices, np.ndarray):
+            vertices = [p.to_complex() if isinstance(p, LiftedPoint) else p for p in vertices]
         zs = np.asarray(vertices, dtype=complex)
         return zs, _lift(np.angle(zs), domain.arg_low)
-    zs = np.empty(len(vertices), dtype=complex)
-    thetas = np.empty(len(vertices))
-    for i, p in enumerate(vertices):
-        if isinstance(p, LiftedPoint):
-            zs[i] = p.to_complex()
-            thetas[i] = p.theta
-        else:
-            if domain.tag == "double_sector":
-                raise PathExitsDomain("double sector paths need lifted vertices")
-            zs[i] = complex(p)
-            thetas[i] = domain.arg_low + (cmath.phase(zs[i]) - domain.arg_low) % _TWO_PI
+    if not all(isinstance(p, LiftedPoint) for p in vertices):
+        raise PathExitsDomain("double sector paths need lifted vertices")
+    zs = np.array([p.to_complex() for p in vertices], dtype=complex)
+    thetas = np.array([p.theta for p in vertices], dtype=float)
     return zs, thetas
 
 

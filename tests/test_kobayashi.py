@@ -195,12 +195,15 @@ class TestPathLength:
         poly = geodesic_polyline(sector, z1, LiftedPoint.from_complex(z2, -0.3), 2000)
         assert isinstance(poly, np.ndarray) and poly[0] == z1
         assert poly[-1] == LiftedPoint.from_complex(z2, -0.3).to_complex()
-        # the whole-array lifts agree with the per-vertex ones to the last bits
         zs, thetas = _vertex_arrays(sector, poly)
-        zs_loop, thetas_loop = _vertex_arrays(
-            sector, [*poly[:-1], LiftedPoint.from_complex(poly[-1], -0.3)])
-        assert zs[:-1].tobytes() == zs_loop[:-1].tobytes()
-        assert np.max(np.abs(thetas - thetas_loop)) < 1e-14
+        assert zs.tobytes() == poly.tobytes()
+        assert thetas.tobytes() == _lift(np.angle(poly), -0.3).tobytes()
+        # a plain list, with a LiftedPoint at its end, takes the same path
+        mixed = [*poly[:-1].tolist(), LiftedPoint.from_complex(poly[-1], -0.3)]
+        zs_m, thetas_m = _vertex_arrays(sector, mixed)
+        end = mixed[-1].to_complex()
+        assert zs_m.tobytes() == np.r_[poly[:-1], end].tobytes()
+        assert thetas_m.tobytes() == _lift(np.angle(np.r_[poly[:-1], end]), -0.3).tobytes()
         assert path_length(sector, poly) == pytest.approx(distance_exact(sector, z1, z2).value,
                                                           abs=1e-5)
 

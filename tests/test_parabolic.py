@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, preimages)
-from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
-                             NumericOverflow, PointCapExceeded)
+from basinlab.errors import (LinearMap, NotInBasin, NotParabolic, NumericOverflow,
+                             PointCapExceeded)
 from basinlab.parabolic import (_BLOCK, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
                                  classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window, classify_grid
@@ -320,8 +320,6 @@ class TestPreimages:
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflow):
                 preimages(fm, 1e300)
-            with pytest.raises(NoConvergence):
-                preimages(fm, 1e100)
 
 
 class TestEnumerateQ:
