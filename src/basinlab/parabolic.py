@@ -388,8 +388,11 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
     res = np.max(np.abs(fm(z) - ws[:, None]), axis=1)
     if not np.all(np.isfinite(z)):
         raise NumericOverflow("root iteration left the range of double precision")
-    if not np.all(res <= np.maximum(ROOT_TOL, target)):  # a nan residual fails too
-        raise NoConvergence(f"root residual {res.max():.3e} above tolerance {ROOT_TOL:.3e}")
+    tol = np.maximum(ROOT_TOL, target)
+    if not np.all(res <= tol):  # a nan residual fails too
+        worst = int(np.argmax(np.nan_to_num(res / tol, nan=np.inf)))
+        raise NoConvergence(f"root residual {res[worst]:.3e} above its tolerance "
+                            f"{tol[worst]:.3e} for target {complex(ws[worst])}")
 
     dp = fm.derivative(z)
     safe = np.abs(dp) > 1e-280

@@ -120,6 +120,14 @@ class TestDistanceCommand:
         payload = json.loads((tmp_path / "o" / "distance.json").read_text())
         assert abs(payload["path_length"] - 0.6931471805599453) < 1e-9
 
+    def test_path_from_the_boundary_exits_1(self, tmp_path):
+        # the first vertex, 1, lies on the slit: the path is infinitely long
+        res = run_cli(["--out-dir", "o", "distance", "--domain", "slit", "--z1", "0,1",
+                       "--z2=-1,0", "--path=1,0;0,1;-1,0"], tmp_path)
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"] == "PathExitsDomain"
+        assert not (tmp_path / "o" / "distance.json").exists()
+
 
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,11 +14,87 @@ from basinlab import (LiftedPoint, ModelDomain, bound_case1, bound_case2,
                       kobayashi_disk_clearance, path_length)
 from basinlab.errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
                              OutsideDomain, PathExitsDomain, SmallRealPart)
+from basinlab import kobayashi
 from basinlab.kobayashi import _lift, _vertex_arrays
 
 LN2 = math.log(2.0)
 H = ModelDomain.half_plane()
 SLIT = ModelDomain.slit_plane()
+
+
+def _sampled_path_length(domain, vertices):
+    """Reference path_length with the sampled segment check: 32 interior
+    samples per segment must lie inside, their normalized arguments may not
+    jump by pi or more, and on a double sector the argument continued along
+    the samples must land on the declared lift. Every node of a depth is
+    evaluated at once."""
+    zs, thetas = _vertex_arrays(domain, vertices)
+    za, zb, tha, thb = zs[:-1], zs[1:], thetas[:-1], thetas[1:]
+    two_pi = 2.0 * math.pi
+
+    def chord_rtheta(t):
+        z = za[:, None] + (zb - za)[:, None] * t[None, :]
+        ang = np.angle(z)
+        if domain.tag != "double_sector":
+            return np.abs(z), _lift(ang, domain.arg_low)
+        d0 = (ang[:, 0] - np.angle(za) + math.pi) % two_pi - math.pi
+        steps = (np.diff(ang, axis=1) + math.pi) % two_pi - math.pi
+        theta = (tha + d0)[:, None] + np.concatenate(
+            [np.zeros((len(za), 1)), np.cumsum(steps, axis=1)], axis=1)
+        return np.abs(z), theta
+
+    t_check = np.linspace(0.0, 1.0, 34)[1:-1]
+    r, theta = chord_rtheta(t_check)
+    if not np.all(domain.contains_rtheta(r, theta)):
+        raise PathExitsDomain("segment midpoint left the domain")
+    if domain.tag != "double_sector":
+        full = np.concatenate([tha[:, None], theta, thb[:, None]], axis=1)
+        if np.any(np.abs(np.diff(full, axis=1)) >= math.pi):
+            raise PathExitsDomain("segment crosses the boundary ray")
+    else:
+        end = theta[:, -1] + ((np.angle(zb) - np.angle(
+            za + (zb - za) * t_check[-1]) + math.pi) % two_pi - math.pi)
+        if np.any(np.abs(end - thb) > 1e-6):
+            raise PathExitsDomain("argument lift mismatch along segment")
+
+    chord = np.abs(zb - za)
+    h, lo = domain.width, domain.arg_low
+    prev = None
+    for depth in range(kobayashi._PATH_MAX_DEPTH + 1):
+        edges = np.linspace(0.0, 1.0, 2 ** depth + 1)
+        mid = (edges[:-1, None] + edges[1:, None]) / 2.0
+        half = (edges[1:, None] - edges[:-1, None]) / 2.0
+        t = (mid + half * kobayashi._GL_NODES[None, :]).ravel()
+        wts = (half * kobayashi._GL_WEIGHTS[None, :]).ravel()
+        r, theta = chord_rtheta(t)
+        if not np.all(domain.contains_rtheta(r, theta)):
+            raise PathExitsDomain("quadrature node left the domain")
+        dens = (math.pi / h) / (r * np.sin(math.pi * (theta - lo) / h))
+        total = float(np.sum(chord * (dens @ wts)))
+        if prev is not None and abs(total - prev) <= max(
+                kobayashi._PATH_ATOL, kobayashi._PATH_RTOL * abs(total)):
+            return total
+        prev = total
+    return prev
+
+
+def bent_polylines(n, seed):
+    """Seeded polylines of 2-5 vertices strictly inside one of four domain
+    kinds, in turn; about a third of them leave their domain."""
+    domains = [SLIT, ModelDomain.sector(-0.3, 5.5), H,
+               ModelDomain.double_sector(-0.2, 2.0 * math.pi + 0.2)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        dom = domains[i % 4]
+        verts = []
+        for _ in range(int(rng.integers(2, 6))):
+            r = math.exp(rng.uniform(-1.5, 1.5))
+            th = rng.uniform(dom.arg_low + 0.02, dom.arg_high - 0.02)
+            verts.append(LiftedPoint(r, th) if dom.tag == "double_sector"
+                         else r * cmath.exp(1j * th))
+        out.append((dom, verts))
+    return out
 
 
 def random_slit_pairs(n, seed=0, min_sep=0.02):
@@ -153,6 +230,53 @@ class TestPathLength:
         with pytest.raises(PathExitsDomain):
             path_length(SLIT, [-1 + 0.5j, 1 + 0.5j, -1 - 0.5j])
 
+    def test_vertex_on_the_boundary_rejected(self):
+        # 1 lies on the slit, so every path from it is infinitely long
+        with pytest.raises(PathExitsDomain):
+            path_length(SLIT, [1, 1j])
+        with pytest.raises(PathExitsDomain):
+            path_length(SLIT, [1j, cmath.exp(1j * 1e-13)])
+
+    def test_segment_through_the_origin_rejected(self):
+        with pytest.raises(PathExitsDomain):
+            path_length(H, [1j, 2 + 1j, -2 - 1j])
+
+    def test_exact_check_matches_sampled_reference(self):
+        kinds = {"raise": 0, "value": 0}
+        for dom, verts in bent_polylines(200, seed=31):
+            try:
+                want = _sampled_path_length(dom, verts)
+            except PathExitsDomain:
+                with pytest.raises(PathExitsDomain):
+                    path_length(dom, verts)
+                kinds["raise"] += 1
+                continue
+            assert path_length(dom, verts).hex() == want.hex()
+            kinds["value"] += 1
+        assert min(kinds.values()) > 40  # both outcomes are exercised
+
+    @pytest.mark.parametrize("block", [48, 1 << 20])
+    def test_node_block_size_changes_no_bit(self, block, monkeypatch):
+        z1, z2 = 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j)
+        slit_poly = geodesic_polyline(SLIT, z1, z2, 5999)
+        wide = ModelDomain.double_sector(-0.2, 2 * math.pi + 0.2)
+        lifted = geodesic_polyline(wide, LiftedPoint(1.0, 0.1), LiftedPoint(1.0, 2 * math.pi), 4000)
+        want = [path_length(SLIT, slit_poly), path_length(wide, lifted)]
+        monkeypatch.setattr(kobayashi, "_NODE_BLOCK", block)
+        got = [path_length(SLIT, slit_poly), path_length(wide, lifted)]
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert want[0] == pytest.approx(distance_exact(SLIT, z1, z2).value, abs=1e-6)
+
+    def test_working_memory_is_bounded(self):
+        poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 5999)
+        tracemalloc.start()
+        try:
+            path_length(SLIT, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_chart_vs_quadrature_random(self):
         for z1, z2 in random_slit_pairs(60, seed=12):
             d = distance_exact(SLIT, z1, z2).value
@@ -182,7 +306,7 @@ class TestPathLength:
         assert path_length(wide, poly) == pytest.approx(d, abs=1e-5)
         assert d > 0.5  # a full turn is genuinely far on the lift
 
-    @pytest.mark.parametrize("low", [0.0, -0.3, -math.pi, 2.5])
+    @pytest.mark.parametrize("low", [0.0, -0.0, -0.3, -math.pi, 2.5])
     def test_lift_is_python_mod(self, low):
         ang = np.r_[np.random.default_rng(3).uniform(-7.0, 7.0, 500),
                     0.0, -0.0, math.pi, -math.pi, low, low - 2 * math.pi, low + 2 * math.pi]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, preimages)
-from basinlab.errors import (LinearMap, NotInBasin, NotParabolic, NumericOverflow,
-                             PointCapExceeded)
+from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
+                             NumericOverflow, PointCapExceeded)
 from basinlab.parabolic import (_BLOCK, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
                                  classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window, classify_grid
@@ -320,6 +320,22 @@ class TestPreimages:
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflow):
                 preimages(fm, 1e300)
+
+    def test_no_convergence_names_the_failing_row(self, quad_map):
+        # an evaluator error of 1e-3 that no iteration removes: the row at
+        # w = 2 fails its absolute tolerance 1e-12, the row at w = 1e20 meets
+        # its relative one (1e7) with a larger residual, and the message
+        # reports the failing row against its own tolerance
+        fm, _ = quad_map
+
+        class NoisyMap(type(fm)):
+            def __call__(self, z, out=None):
+                return super().__call__(z) + 1e-3 * np.exp(1e9j * np.abs(z))
+
+        noisy = NoisyMap(fm.coefficients, fm.m, fm.a, fm.degree)
+        with pytest.raises(NoConvergence,
+                           match=r"e-03 above its tolerance 1\.000e-12 for target \(2\+0j\)"):
+            preimages_batch(noisy, np.array([1e20, 2.0]))
 
 
 class TestEnumerateQ:
