@@ -226,6 +226,8 @@ def _vertex_arrays(domain: ModelDomain, vertices) -> tuple[np.ndarray, np.ndarra
         return zs, _lift(np.angle(zs), domain.arg_low)
     if not all(isinstance(p, LiftedPoint) for p in vertices):
         raise PathExitsDomain("double sector paths need lifted vertices")
+    if not all(p.r > 0.0 for p in vertices):  # |to_complex()| would hide the sign
+        raise PathExitsDomain("polyline vertex outside the domain: radius not positive")
     zs = np.array([p.to_complex() for p in vertices], dtype=complex)
     thetas = np.array([p.theta for p in vertices], dtype=float)
     return zs, thetas

@@ -325,14 +325,123 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
 # Simultaneous polynomial root finding (Aberth iteration)
 # ---------------------------------------------------------------------------
 
+def _ordered_sum(terms, last=0j):
+    """terms[0] + ... + terms[n - 1] + last, rounded exactly as np.sum rounds
+    a contiguous complex axis: np.sum(x, axis=-1) is
+    _ordered_sum(np.moveaxis(x, -1, 0).copy()). The sum accumulates in place,
+    in terms[0], terms[4] and so on.
+
+    numpy adds its identity 0 after a pairwise sum: below 4 terms in sequence;
+    up to 64 in four lanes (term j in lane j % 4), combined as
+    (l0 + l1) + (l2 + l3), then the remainder in sequence; above 64 the two
+    halves split at (n - n % 8) // 2, each summed the same way (last=None
+    adds nothing).
+    """
+    n = len(terms)
+    if n > 64:
+        half = (n - n % 8) // 2
+        acc = _ordered_sum(terms[:half], None)
+        acc += _ordered_sum(terms[half:], None)
+        rest = ()
+    elif n < 4:
+        acc, rest = terms[0], terms[1:]
+    else:
+        lanes = terms[:4]
+        for j in range(4, n - n % 4, 4):
+            lanes += terms[j:j + 4]
+        lanes[0] += lanes[1]
+        lanes[2] += lanes[3]
+        acc, rest = lanes[0], terms[n - n % 4:]
+        acc += lanes[2]
+    for t in rest:
+        acc += t
+    if last is not None:
+        acc += last
+    return acc
+
+
+def _aberth(fm: ParabolicMap, z: np.ndarray, ws: np.ndarray, target: np.ndarray,
+            radius: np.ndarray) -> np.ndarray:
+    """Iterate the rows of z (rows, deg) in place until max |f(z) - ws| is at
+    most target, for at most 400 steps; radius scales the restart jitter.
+
+    The iteration is root-major: column r of the live state holds one row,
+    and zc[i] holds root i of every live row, so a per-row reduction is an
+    operation between deg columns, and max |f(z_i) - w| is exact in any
+    order. The live state (roots, target, jitter radius, best residual, stale
+    count, attempt) is compacted only when some rows converge, and a
+    converged row is written back once; a row whose residual is nan leaves
+    too, for the caller's check. Each pair i < j takes one reciprocal
+    t = 1/(z_i - z_j), and root j uses -t, which is the quotient numpy's
+    division gives for z_j - z_i = -(z_i - z_j). Each Aberth sum then adds
+    its deg terms, 1 at j = i, in np.sum's order (_ordered_sum), so every row
+    gets the bits of the formulation sum(1 / (z_i - z_j), axis=-1) - 1 over
+    a (rows, deg, deg) tensor with 1 on the diagonal.
+    """
+    deg = fm.degree
+    rows = np.arange(ws.size)  # rows[r]: the row of z held in column r
+    zc, w, tgt, rad = np.ascontiguousarray(z.T), ws, target, radius
+    best = np.full(ws.size, np.inf)
+    stale = np.zeros(ws.size, dtype=np.int32)
+    attempt = np.zeros(ws.size, dtype=np.int32)
+    left, right = np.triu_indices(deg, 1)
+    diag = np.arange(deg)
+    terms_buf = np.empty(deg * deg * ws.size, dtype=complex)
+    for _ in range(400):
+        pv = fm(zc)
+        pv -= w
+        res = np.max(np.abs(pv), axis=0)
+        active = res > tgt
+        if not active.all():
+            z[rows[~active]] = zc[:, ~active].T
+            live = np.flatnonzero(active)
+            rows, w, tgt, rad, best, stale, attempt, res, zc, pv = (
+                np.take(a, live, axis=-1)
+                for a in (rows, w, tgt, rad, best, stale, attempt, res, zc, pv))
+        if rows.size == 0:
+            return z
+        improved = res < 0.5 * best
+        np.minimum(best, res, out=best)
+        stale = np.where(improved, 0, stale + 1)
+        restart = stale > 40
+        if restart.any():
+            attempt[restart] += 1
+            for n in np.unique(attempt[restart]):
+                sel = restart & (attempt == n)
+                rng = np.random.default_rng((12345, int(n)))
+                jitter = rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
+                zc[:, sel] += 1e-3 * rad[sel] * jitter[:, None] * n
+            stale[restart] = 0
+        dp = fm.derivative(zc)
+        dp[dp == 0] = 1e-300
+        newton = np.divide(pv, dp, out=pv)
+        # terms[j, i]: term j of root i's sum, 1 / (z_i - z_j) or 1 at j = i
+        terms = terms_buf[:deg * deg * rows.size].reshape(deg, deg, rows.size)
+        t = np.subtract(zc[left], zc[right])
+        np.divide(1.0, t, out=t)
+        terms[right, left] = t
+        terms[left, right] = np.negative(t, out=t)
+        terms[diag, diag] = 1.0
+        # np.sum(...) - 1.0: np.sum adds its identity 0 last, and (s + 0) - 1 is
+        # s + (-1 + 0j) bit for bit; the sum lands in terms[0]
+        corr = _ordered_sum(terms, -1 + 0j)
+        np.multiply(newton, corr, out=corr)
+        np.subtract(1.0, corr, out=corr)
+        np.divide(newton, corr, out=corr)
+        np.copyto(corr, newton, where=~np.isfinite(corr))
+        zc -= corr
+    z[rows] = zc.T
+    return z
+
+
 # an overflowing iterate is judged by the checks on the result, not by a warning
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
     """Row i holds the deg(f) solutions of f(z) = ws[i], sorted by (re, im).
 
-    Aberth simultaneous iteration to a residual a decade below ROOT_TOL
-    (relative for |w| > 1), then one Newton polish; NoConvergence if a
-    residual stays above ROOT_TOL or is nan, NumericOverflow if a root left
+    Aberth simultaneous iteration (_aberth) to a residual a decade below
+    ROOT_TOL (relative for |w| > 1), then one Newton polish; NoConvergence if
+    a residual stays above ROOT_TOL or is nan, NumericOverflow if a root left
     the range of double precision (z + z^2 = 1e300 starts the iteration on a
     circle of radius 1e300). A multiple root comes out as a cluster of
     simple roots that each meet the target (the double root of z + z^2 at
@@ -343,48 +452,13 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
     """
     ws = np.asarray(ws, dtype=complex).ravel()
     deg = fm.degree
-    B = ws.size
 
     inner = max(abs(c) for c in fm.coefficients[:-1])
     radius = 1.0 + (inner + np.abs(ws)) / abs(fm.coefficients[-1])
     angles = _TWO_PI * (np.arange(deg) + 0.37) / deg
     z = radius[:, None] * 0.9 * np.exp(1j * (angles[None, :] + 0.1))
-
     target = 1e-13 * np.maximum(1.0, np.abs(ws))
-    best = np.full(B, np.inf)
-    stale = np.zeros(B, dtype=np.int32)
-    attempt = np.zeros(B, dtype=np.int32)
-    rows = np.arange(B)  # rows still above target; a converged row never moves again
-    for _ in range(400):
-        zr = z[rows]
-        pv = fm(zr) - ws[rows, None]
-        res = np.max(np.abs(pv), axis=1)
-        active = res > target[rows]
-        if not active.all():
-            rows, zr, pv, res = rows[active], zr[active], pv[active], res[active]
-        if rows.size == 0:
-            break
-        improved = res < 0.5 * best[rows]
-        best[rows] = np.minimum(best[rows], res)
-        stale[rows] = np.where(improved, 0, stale[rows] + 1)
-        restart = stale[rows] > 40
-        if restart.any():
-            attempt[rows[restart]] += 1
-            for n in np.unique(attempt[rows[restart]]):
-                sel = restart & (attempt[rows] == n)
-                rng = np.random.default_rng((12345, int(n)))
-                jitter = rng.standard_normal(deg) + 1j * rng.standard_normal(deg)
-                zr[sel] += 1e-3 * radius[rows[sel], None] * jitter * n
-            stale[rows[restart]] = 0
-        dp = fm.derivative(zr)
-        dp = np.where(dp == 0, 1e-300, dp)
-        newton = pv / dp
-        diff = zr[:, :, None] - zr[:, None, :]
-        np.einsum("bii->bi", diff)[:] = 1.0
-        sums = np.sum(1.0 / diff, axis=2) - 1.0
-        corr = newton / (1.0 - newton * sums)
-        corr = np.where(np.isfinite(corr), corr, newton)
-        z[rows] = zr - corr
+    z = _aberth(fm, z, ws, target, radius)
     res = np.max(np.abs(fm(z) - ws[:, None]), axis=1)
     if not np.all(np.isfinite(z)):
         raise NumericOverflow("root iteration left the range of double precision")
@@ -547,13 +621,16 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     vals, ks, ls, parent = vals[kept], ks[kept], ls[kept], rep[ups[kept]]
 
     # Independent residual verification: iterate each point forward l steps
-    # and compare against the stored orbit target.
+    # and compare against the stored orbit target; a point leaves once it has
+    # taken its l steps.
     residuals = np.zeros(vals.size)
-    cur = vals.copy()
+    live, cur = np.arange(vals.size), vals
     for step in range(l_max + 1):
-        sel = ls == step
-        residuals[sel] = np.abs(cur[sel] - orbit[ks[sel]])
-        if step < l_max:
+        at = ls[live] == step
+        done = live[at]
+        residuals[done] = np.abs(cur[at] - orbit[ks[done]])
+        live, cur = live[~at], cur[~at]
+        if live.size:
             cur = fm(cur)
 
     return QEnumeration(complex(q), probe.direction, vals, ks, ls, residuals, parent,

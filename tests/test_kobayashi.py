@@ -237,6 +237,15 @@ class TestPathLength:
         with pytest.raises(PathExitsDomain):
             path_length(SLIT, [1j, cmath.exp(1j * 1e-13)])
 
+    @pytest.mark.parametrize("r", [-1.0, -1e-3, 0.0, math.nan])
+    def test_double_sector_radius_not_positive_rejected(self, r):
+        # LiftedPoint(-1, 0.1) sits at |to_complex()| = 1, and the chord to
+        # LiftedPoint(-1, 1.0) turns by 0.9 as declared, so only the declared
+        # radius shows that the path lies outside (density rejects the point)
+        wide = ModelDomain.double_sector(-0.2, 6.5)
+        with pytest.raises(PathExitsDomain):
+            path_length(wide, [LiftedPoint(r, 0.1), LiftedPoint(r, 1.0)])
+
     def test_segment_through_the_origin_rejected(self):
         with pytest.raises(PathExitsDomain):
             path_length(H, [1j, 2 + 1j, -2 - 1j])

@@ -13,7 +13,7 @@ from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
 from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
 from basinlab.parabolic import (_BLOCK, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
-                                 classify_batch, preimages_batch, quantize)
+                                 _ordered_sum, classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window, classify_grid
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
 
@@ -336,6 +336,72 @@ class TestPreimages:
         with pytest.raises(NoConvergence,
                            match=r"e-03 above its tolerance 1\.000e-12 for target \(2\+0j\)"):
             preimages_batch(noisy, np.array([1e20, 2.0]))
+
+
+def _digest(roots):
+    return hashlib.sha256(roots.tobytes()).hexdigest()
+
+
+class TestPreimagesKernel:
+    # sha256 of preimages_batch's output, taken from the kernel that summed
+    # 1/(z_i - z_j) over a (rows, deg, deg) tensor with np.sum; the root-major
+    # kernel must reproduce them bit for bit.
+
+    @pytest.mark.parametrize("coefficients, q, k_max, level, digest", [
+        ([0, 1, 1], -0.5, 20, 10,
+         "8ca986a346bd520216c772fceb0ba062c241e55e86e7f030839ce89cbeafd538"),
+        ([0, 1, 0, 1], 0.3j, 15, 8,
+         "30f561dc842053281d274a9cdddb4aa503a1e75e6201d5bbf96a03c6123ed35d")])
+    def test_pinned_acceptance_level(self, coefficients, q, k_max, level, digest):
+        # the targets of enumerate_Q's deepest call on the verify runs
+        fm, _ = analyze_parabolic(coefficients)
+        frontier = [complex(q)]
+        for _ in range(k_max):
+            frontier.append(fm(frontier[-1]))
+        frontier = np.array(frontier)
+        for _ in range(level - 1):
+            frontier = preimages_batch(fm, frontier).ravel()
+        assert _digest(preimages_batch(fm, frontier)) == digest
+
+    @pytest.mark.parametrize("degree, digest", [
+        (4, "516ab3f2088c916cdc4f4b8cb1b962f05016edb1373bbff426862bb43d51569c"),
+        (5, "372419370038b65a8904633659f9d06a2968e9da7e285670f5258bc7258f782d"),
+        (9, "8c4aba377575753caed20bf1369149e1c6aca7588eaa203a0ed8c0ce1b8f32fe"),
+        (11, "7fdc75571527863a2b824f2765cf05023d96e2f36034c952cef4310c3e05df35")])
+    def test_pinned_four_lane_degrees(self, degree, digest):
+        # from degree 4 on the Aberth sums take numpy's four-lane order
+        fm, _ = analyze_parabolic([0, 1, 1] + [0] * (degree - 3) + [0.5])
+        rng = np.random.default_rng(degree)
+        ws = 2.0 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
+        assert _digest(preimages_batch(fm, ws)) == digest
+
+    def test_pinned_restarts(self, monkeypatch):
+        # z + 3000 z^2 + 3000 z^3 evaluates near its roots with a rounding
+        # error about the size of the target residual: 15 of the 24 rows
+        # stall, restart up to 9 times and then converge
+        fm, _ = analyze_parabolic([0, 1, 3000, 3000])
+        rng = np.random.default_rng(3)
+        ws = 0.5 * (rng.standard_normal(24) + 1j * rng.standard_normal(24))
+        seeds, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: seeds.append(seed) or default_rng(seed))
+        roots = preimages_batch(fm, ws)
+        assert sorted(set(seeds)) == [(12345, n) for n in range(1, 10)]
+        assert _digest(roots) == "9ab94d7c87d93084e1069efd1d8a5618be50906d2c74befac2992c547f96bff9"
+
+    @pytest.mark.parametrize("n", [*range(2, 41), 65, 130])
+    def test_ordered_sum_is_np_sum(self, n):
+        # signed zeros included: numpy adds its identity +0 last
+        rng = np.random.default_rng(n)
+        x = (rng.standard_normal((64, n)) * 10.0 ** rng.integers(-8, 9, (64, n))
+             + 1j * rng.standard_normal((64, n)) * 10.0 ** rng.integers(-8, 9, (64, n)))
+        x[rng.random((64, n)) < 0.2] = -0.0
+        x.imag[rng.random((64, n)) < 0.1] = -0.0
+        x[0] = -0.0
+        expect = np.sum(x, axis=-1)
+        assert _ordered_sum(np.moveaxis(x, -1, 0).copy()).tobytes() == expect.tobytes()
+        assert (_ordered_sum(np.moveaxis(x, -1, 0).copy(), -1 + 0j).tobytes()
+                == (expect - 1.0).tobytes())
 
 
 class TestEnumerateQ:
