@@ -100,12 +100,13 @@ class ModelDomain:
                 raise OutsideDomain("double sector points must carry a lifted argument")
             theta = self.arg_low + (cmath.phase(z) - self.arg_low) % _TWO_PI
             r = abs(z)
-        if r <= 0.0:
-            raise OutsideDomain("origin and negative radii are outside every domain")
-        if theta - self.arg_low <= _ANG_GUARD or self.arg_high - theta <= _ANG_GUARD:
+        # written as "not inside" so that a nan radius or argument is outside
+        if not r > 0.0:
+            raise OutsideDomain("origin, negative and nan radii are outside every domain")
+        if not (theta - self.arg_low > _ANG_GUARD and self.arg_high - theta > _ANG_GUARD):
             raise OutsideDomain(
-                f"argument {theta} within guard distance of boundary rays "
-                f"({self.arg_low}, {self.arg_high})")
+                f"argument {theta} not inside the boundary rays "
+                f"({self.arg_low}, {self.arg_high}) by the guard distance")
         return r, theta
 
     def contains_rtheta(self, r, theta):

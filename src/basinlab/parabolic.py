@@ -540,9 +540,6 @@ class QEnumeration:
                 zip(self.value.tolist(), self.k.tolist(), self.l.tolist(),
                     self.residual.tolist())]
 
-    def values(self) -> np.ndarray:
-        return self.value
-
     def counts_by_kl(self) -> dict:
         kl, counts = np.unique(self.k * (self.l_max + 1) + self.l, return_counts=True)
         return {divmod(int(key), self.l_max + 1): int(n) for key, n in zip(kl, counts)}

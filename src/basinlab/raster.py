@@ -9,8 +9,6 @@ components are extracted with a 4-connected flood fill.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +59,13 @@ class RasterGrid:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("BASINLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def classify_grid(fm: ParabolicMap, window: Window, resolution: int,
                   n_max: int) -> RasterGrid:
     """Label every pixel center of a square-pixel grid over the window.
 
     `resolution` is the pixel count along the wider side; the other side gets
-    the count that keeps pixels square. Classification is deterministic and
-    row-parallel (thread count from BASINLAB_THREADS).
+    the count that keeps pixels square. All pixel centers go to one
+    classify_batch call, so the labels are deterministic.
     """
     if resolution > 8192:
         raise ValueError("resolution capped at 8192")
@@ -87,20 +78,8 @@ def classify_grid(fm: ParabolicMap, window: Window, resolution: int,
     grid = RasterGrid(window, nx, ny, np.empty((ny, nx), dtype=np.int32), fm.m, n_max)
     xs, ys = grid.pixel_centers()
     z = xs[None, :] + 1j * ys[:, None]
-
-    def _rows(block: np.ndarray) -> np.ndarray:
-        labels, _ = classify_batch(fm, block.ravel(), n_max)
-        return labels.reshape(block.shape)
-
-    threads = _thread_count()
-    if threads == 1 or ny < 2 * threads:
-        grid.labels[:] = _rows(z)
-    else:
-        chunks = np.array_split(np.arange(ny), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ix: _rows(z[ix]), chunks))
-        for ix, part in zip(chunks, parts):
-            grid.labels[ix] = part
+    labels, _ = classify_batch(fm, z.ravel(), n_max)
+    grid.labels[:] = labels.reshape(ny, nx)
     return grid
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -115,19 +115,6 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
                          {"c1": c1, "c2": c2})
 
 
-def _candidate_lifts(params: TheoremParams, ang: np.ndarray) -> list:
-    """Angular lifts theta + 2 pi k admissible in the comparison domain."""
-    dom = params.comparison_domain
-    lo, hi = dom.arg_low, dom.arg_high
-    guard = 1e-12
-    out = []
-    for k in (-1, 0, 1):
-        th = ang + _TWO_PI * k
-        ok = (th - lo > guard) & (hi - th > guard)
-        out.append((th, ok))
-    return out
-
-
 def _rotated_polar(params: TheoremParams, values) -> tuple[np.ndarray, np.ndarray]:
     """Modulus and argument in [0, 2pi) of the values in the frame rotated by
     -params.rotation, where the comparison domain sits."""
@@ -157,8 +144,9 @@ def certify_points(params: TheoremParams, values: np.ndarray, polar):
     positive = r > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         logr = np.where(positive, np.log(np.where(positive, r, 1.0)), -np.inf)
-        for th, ok in _candidate_lifts(params, ang):
-            ok = ok & positive
+        for k in (-1, 0, 1):  # the lifts theta + 2 pi k
+            th = ang + _TWO_PI * k
+            ok = dom.contains_rtheta(r, th)
             if not ok.any():
                 continue
             u = scale * logr[ok]
@@ -204,9 +192,6 @@ class TheoremCertificate:
     params: TheoremParams
     q: complex
     enumeration: QEnumeration
-    point_values: np.ndarray
-    point_k: np.ndarray
-    point_l: np.ndarray
     point_bounds: np.ndarray
     certified_mask: np.ndarray
     excluded_outside: int
@@ -221,18 +206,18 @@ class TheoremCertificate:
 
     @property
     def n_points(self) -> int:
-        return int(self.point_values.size)
+        return int(self.enumeration.value.size)
 
     @property
     def n_certified(self) -> int:
         return int(self.certified_mask.sum())
 
     def witness(self) -> dict:
-        i = self.witness_index
+        i, qe = self.witness_index, self.enumeration
         return {
-            "point": [float(self.point_values[i].real), float(self.point_values[i].imag)],
-            "k": int(self.point_k[i]),
-            "l": int(self.point_l[i]),
+            "point": [float(qe.value[i].real), float(qe.value[i].imag)],
+            "k": int(qe.k[i]),
+            "l": int(qe.l[i]),
             "bound": DistanceBound(float(self.point_bounds[i]), "exact", "chart").to_json_dict(),
         }
 
@@ -273,11 +258,11 @@ class TheoremCertificate:
             f"runtime_ms={self.runtime_ms}",
             "  k  l  count  min_bound",
         ]
-        ok = self.certified_mask
+        ok, qe = self.certified_mask, self.enumeration
         if ok.any():
             # points are sorted by (k, l), so each level is one contiguous run
-            width = self.enumeration.l_max + 1
-            kl, start, counts = np.unique(self.point_k[ok] * width + self.point_l[ok],
+            width = qe.l_max + 1
+            kl, start, counts = np.unique(qe.k[ok] * width + qe.l[ok],
                                           return_index=True, return_counts=True)
             mins = np.minimum.reduceat(self.point_bounds[ok], start)
             for key, cnt, mn in zip(kl.tolist(), counts.tolist(), mins.tolist()):
@@ -287,9 +272,9 @@ class TheoremCertificate:
 
     def bounds_to_csv(self, path) -> None:
         lines = ["re,im,k,l,bound,certified"]
-        for v, k, l, b, ok in zip(self.point_values.tolist(), self.point_k.tolist(),
-                                  self.point_l.tolist(), self.point_bounds.tolist(),
-                                  self.certified_mask.tolist()):
+        qe = self.enumeration
+        for v, k, l, b, ok in zip(qe.value.tolist(), qe.k.tolist(), qe.l.tolist(),
+                                  self.point_bounds.tolist(), self.certified_mask.tolist()):
             btxt = repr(b) if math.isfinite(b) else "inf"
             lines.append(f"{v.real!r},{v.imag!r},{k},{l},{btxt},{int(ok)}")
         with open(path, "w", encoding="ascii") as fh:
@@ -344,10 +329,9 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
     passed = bool(certified.any() and math.isfinite(global_min)
                   and global_min >= C and uncertifiable == 0)
     runtime_ms = int(1000.0 * (time.perf_counter() - t_start))
-    return TheoremCertificate(params, complex(q), qe, values, qe.k, qe.l, dist,
-                              certified, excluded_outside, uncertifiable,
-                              global_min, witness, passed, crosses, violations,
-                              interior_offaxis, runtime_ms)
+    return TheoremCertificate(params, complex(q), qe, dist, certified, excluded_outside,
+                              uncertifiable, global_min, witness, passed, crosses,
+                              violations, interior_offaxis, runtime_ms)
 
 
 @dataclass
@@ -363,17 +347,7 @@ class ClosureReport:
     frontier_skips: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "status": self.status,
-            "n_preimages": self.n_preimages,
-            "residual_failures": self.residual_failures,
-            "max_residual": self.max_residual,
-            "checked_images": self.checked_images,
-            "image_misses": self.image_misses,
-            "image_outside_sector": self.image_outside_sector,
-            "frontier_skips": self.frontier_skips,
-        }
+        return asdict(self)
 
 
 def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
@@ -410,7 +384,7 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
 
     # The immediate component is forward invariant inside its sector, so a
     # point whose image leaves the sector was never in it and is out of scope.
-    ok, parent, values = cert.certified_mask, cert.enumeration.parent, cert.point_values
+    ok, parent, values = cert.certified_mask, cert.enumeration.parent, cert.enumeration.value
     report.frontier_skips = int(np.sum(ok & (parent < 0)))
     src = np.flatnonzero(ok & (parent >= 0))
     inside = ok[parent[src]]

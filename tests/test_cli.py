@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -250,9 +251,20 @@ def test_enumerate_q_writes_the_certified_q(tmp_path, capsys):
 
 
 def test_import_loads_neither_optimize_nor_stats():
-    # nor any other scipy module: each scipy use is imported where it is used
-    code = "import sys, basinlab; print([m for m in sys.modules if m.startswith('scipy')])"
+    # nor any other scipy module: each scipy use is imported where it is used;
+    # and no concurrent.futures, since nothing in the package runs threads
+    code = ("import sys, basinlab; "
+            "print([m for m in sys.modules if m.startswith(('scipy', 'concurrent'))])")
     path = os.pathsep.join(filter(None, [_PKG_PARENT, os.environ.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_package_reads_no_environment():
+    # settings come from CLI flags and function arguments only
+    src = Path(basinlab.__file__).resolve().parent
+    readers = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"\benviron\b|getenv", line)]
+    assert readers == []

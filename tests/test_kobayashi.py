@@ -495,3 +495,20 @@ class TestDomainGuards:
     def test_boundary_guard(self):
         with pytest.raises(OutsideDomain):
             density(SLIT, cmath.exp(1j * 1e-14))
+
+    @pytest.mark.parametrize("domain, p", [
+        (ModelDomain.double_sector(-0.2, 6.5), LiftedPoint(math.nan, 0.1)),
+        (SLIT, complex(math.nan, 1.0)),
+        (ModelDomain.double_sector(-0.2, 6.5), LiftedPoint(1.0, math.nan)),
+    ])
+    def test_nan_point_outside(self, domain, p):
+        # a nan radius or argument fails every comparison, so it is outside
+        inside = LiftedPoint(1.0, 1.0) if isinstance(p, LiftedPoint) else 1j
+        with pytest.raises(OutsideDomain):
+            density(domain, p)
+        with pytest.raises(OutsideDomain):
+            kobayashi.chart_uv(domain, p)
+        with pytest.raises(OutsideDomain):
+            distance_exact(domain, p, inside)
+        with pytest.raises(OutsideDomain):
+            distance_exact(domain, inside, p)

@@ -14,7 +14,7 @@ from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
 from basinlab.parabolic import (_BLOCK, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
                                  _ordered_sum, classify_batch, preimages_batch, quantize)
-from basinlab.raster import RasterGrid, Window, _axis_sampling_window, classify_grid
+from basinlab.raster import RasterGrid, Window, _axis_sampling_window
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
 
 
@@ -244,14 +244,6 @@ class TestClassifyBatchKernel:
         assert labels.tolist() == [LABEL_UNDECIDED, LABEL_UNDECIDED, 0]
         assert steps.tolist() == [10 ** 6, 10 ** 6, 206]
 
-    def test_threaded_grid_matches_one_thread(self, quad_map, monkeypatch):
-        fm, _ = quad_map
-        window = Window(-0.25 + 0j, 1.5, 1.5)
-        monkeypatch.setenv("BASINLAB_THREADS", "1")
-        single = classify_grid(fm, window, 128, 2000).labels
-        monkeypatch.setenv("BASINLAB_THREADS", "2")
-        assert np.array_equal(classify_grid(fm, window, 128, 2000).labels, single)
-
     def test_horner_into_buffer(self, perturbed_map):
         fm, _ = perturbed_map
         z = np.array([0.3 - 0.2j, -1.5, 2j, 0])
@@ -408,19 +400,19 @@ class TestEnumerateQ:
     def test_first_preimages_kept(self, quad_map):
         fm, _ = quad_map
         qe = enumerate_Q(fm, -0.5, 0, 1, 0)
-        vals = sorted(qe.values(), key=lambda z: (z.real, z.imag))
+        vals = sorted(qe.value, key=lambda z: (z.real, z.imag))
         assert any(abs(v - (-0.5 + 0.5j)) < 1e-9 for v in vals)
         assert any(abs(v - (-0.5 - 0.5j)) < 1e-9 for v in vals)
 
     def test_forward_only(self, quad_map):
         fm, _ = quad_map
         qe = enumerate_Q(fm, -0.5, 2, 0, 0)
-        assert sorted(v.real for v in qe.values()) == pytest.approx([-0.5, -0.25, -0.1875])
+        assert sorted(v.real for v in qe.value) == pytest.approx([-0.5, -0.25, -0.1875])
 
     def test_root_only(self, quad_map):
         fm, _ = quad_map
         qe = enumerate_Q(fm, -0.5, 0, 0, 0)
-        assert list(qe.values()) == [-0.5]
+        assert list(qe.value) == [-0.5]
 
     def test_not_in_basin_rejected(self, quad_map):
         fm, _ = quad_map
@@ -438,15 +430,15 @@ class TestEnumerateQ:
         shallow = enumerate_Q(fm, -0.5, 3, 2, 0)
         deep = enumerate_Q(fm, -0.5, 3, 3, 0)
         q = DEDUP_QUANTUM
-        deep_keys = {(round(v.real / q), round(v.imag / q)) for v in deep.values()}
-        missing = [v for v in shallow.values()
+        deep_keys = {(round(v.real / q), round(v.imag / q)) for v in deep.value}
+        missing = [v for v in shallow.value
                    if (round(v.real / q), round(v.imag / q)) not in deep_keys]
         assert missing == []
 
     def test_pairwise_separation(self, quad_map):
         fm, _ = quad_map
         qe = enumerate_Q(fm, -0.5, 3, 3, 0)
-        vals = qe.values()
+        vals = qe.value
         d = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(d, np.inf)
         assert d.min() > DEDUP_QUANTUM
@@ -456,7 +448,7 @@ class TestEnumerateQ:
         # the basin is completely invariant, so no point needs its own label
         fm, _ = request.getfixturevalue(poly)
         qe = enumerate_Q(fm, q, depth, depth)
-        labels, _ = classify_batch(fm, qe.values(), 20000)
+        labels, _ = classify_batch(fm, qe.value, 20000)
         assert qe.direction == 0
         assert np.all(labels == qe.direction)
 
@@ -470,7 +462,7 @@ class TestEnumerateQ:
         # 4 orbit points and 8 first preimages fit under the cap of 20, the
         # 16 second preimages do not
         fm, _ = quad_map
-        assert enumerate_Q(fm, -0.5, 3, 1, 0, point_cap=20).values().size <= 20
+        assert enumerate_Q(fm, -0.5, 3, 1, 0, point_cap=20).value.size <= 20
         with pytest.raises(PointCapExceeded):
             enumerate_Q(fm, -0.5, 3, 4, 0, point_cap=20)
 
@@ -480,7 +472,7 @@ class TestEnumerateQ:
         fm, _ = quad_map
         qe = enumerate_Q(fm, -0.5, 2, 1, 0)
         for value, kl in ((-0.5, (0, 0)), (-0.25, (1, 0))):
-            i = np.flatnonzero(np.abs(qe.values() - value) < 1e-9)
+            i = np.flatnonzero(np.abs(qe.value - value) < 1e-9)
             assert [(int(qe.k[j]), int(qe.l[j])) for j in i] == [kl]
 
     @pytest.mark.parametrize("poly, q, k_max, l_max", [

@@ -134,7 +134,7 @@ class TestVerifyTheorem:
         idx = rng.choice(np.flatnonzero(small_cert.certified_mask), 100, replace=True)
         checked = 0
         for i in idx:
-            q = small_cert.point_values[i]
+            q = small_cert.enumeration.value[i]
             mid = np.sqrt(abs(z0) * abs(q)) * np.exp(
                 1j * (0.5 * (np.angle(z0) % (2 * np.pi) + np.angle(q) % (2 * np.pi))
                       + rng.uniform(-0.3, 0.3)))
