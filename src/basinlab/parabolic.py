@@ -28,6 +28,9 @@ DEDUP_QUANTUM = 1e-10
 ROOT_TOL = 1e-12  # largest residual |f(z) - w| a root returned by preimages_batch may have
 PROBE_STEPS = 20000  # step budget of the one classification of q per enumeration
 _BLOCK = 1 << 15  # classify_batch block: 16 K and 32 K points tie, 64 K is slower on render 512²
+_GROUP = 64  # most steps classify_batch takes in one group while few orbits are live
+_GROUP_ROOM = 2048  # iterates one group may hold; a live set above half of it steps alone
+_NO_EVENT = np.empty(0, dtype=np.intp)
 _TWO_PI = 2.0 * math.pi
 
 
@@ -228,12 +231,24 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     Points are classified in blocks of _BLOCK, one block at a time, so the
     working set stays in cache and the scratch memory is bounded by the block,
     not the input: two complex buffers and the float, bool and index scratch
-    are allocated once, at min(size, _BLOCK), and reused by every block. Each
-    block is copied into a buffer, so the caller's array is never written.
-    Within a block, orbits are iterated in place between the two buffers. A
-    resolved orbit is parked at 0, which f fixes, and the live orbits are
-    compacted only once fewer than half of the slots hold one. Every orbit is
-    iterated on its own, so the blocking changes no label and no step count.
+    are allocated once, at min(size, _BLOCK) but at least _GROUP_ROOM, and
+    reused by every block. Each block is copied into a buffer, so the caller's
+    array is never written. A resolved orbit is parked at 0, which f fixes,
+    and the live orbits are compacted only once fewer than half of the slots
+    hold one.
+
+    After f, a step reads every slot only to form |z|^2, to screen
+    max |z|^2 <= escape_radius^2 and to test |z|^2 <= entry^2 against the
+    live mask. The angle test and the test for the fixed point run on the
+    candidates that pass the radius test alone. While few orbits are live, one pass covers a group of up to
+    _GROUP steps: f is applied that many times into consecutive rows of a
+    buffer (at most _GROUP_ROOM iterates, never past step n_max), every row is
+    tested at once, and each orbit is retired at its first event in step
+    order: escape, entry into the gate, or landing on the fixed point. A full
+    block steps one step at a time. Every orbit is iterated and tested with
+    the same elementwise operations whatever its block, group or live set, so
+    none of them changes a label or a step count; only the number of numpy
+    calls does.
     """
     from .petals import membership_petal  # deferred: petals imports this module
 
@@ -242,82 +257,108 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     m, ma = fm.m, fm.m * fm.a
     r_esc2 = fm.escape_radius ** 2
     entry2 = (abs(ma) * gate.rho2) ** (-2.0 / m)
+    inner2 = min(entry2, r_esc2)  # from step 1 on, an escaping iterate is no candidate
     cos_lim = math.cos(gate.gap_omega) * abs(ma)
     start = np.asarray(points, dtype=complex).ravel()
     size = start.size
     labels = np.full(size, LABEL_UNDECIDED, dtype=np.int32)
     steps = np.full(size, n_max, dtype=np.int32)
     width = min(size, _BLOCK)
-    work, spare = np.empty(width, dtype=complex), np.empty(width, dtype=complex)
+    room = max(width, _GROUP_ROOM)
+    buffers = np.empty(room, dtype=complex), np.empty(room, dtype=complex)
+    a2, rhs, hit = np.empty(room), np.empty(room), np.empty(room, dtype=bool)
+    alive = np.empty(width, dtype=bool)
     block_idx = np.arange(width)
-    a2, rhs = np.empty(width), np.empty(width)
-    alive, hit, ang = (np.empty(width, dtype=bool) for _ in range(3))
 
-    def views(k, *buffers):
-        # per complex buffer: the first k slots, as complex, as interleaved
-        # floats, and their real and imaginary parts
-        bufs = [(c, c.view(float), c.real, c.imag) for c in (b[:k] for b in buffers)]
-        return (*bufs, a2[:k], rhs[:k], alive[:k], hit[:k], ang[:k], idx[:k])
-
-    def retire(sel, label):  # record slots sel at this step and park them at 0
-        block_labels[idxv[sel]] = label
-        block_steps[idxv[sel]] = step
-        zv[sel] = 0
-        alivev[sel] = False
+    def retire(flat, label):  # record the orbits of these iterates, park them at 0
+        nonlocal live
+        row, col = np.divmod(flat, slots) if group > 1 else (0, flat)
+        if label is not None:  # None: on the fixed point, left undecided
+            at = idx[col]
+            block_labels[at] = label
+            block_steps[at] = step + row
+        live_mask[col] = False
+        last[col] = 0
+        live -= col.size
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow to inf/nan is escape
         for lo in range(0, size, _BLOCK):
-            slots = min(_BLOCK, size - lo)
-            work[:slots] = start[lo:lo + slots]
+            slots = live = min(_BLOCK, size - lo)
+            home, spare = buffers
+            cur = home[:slots]
+            cur[:] = start[lo:lo + slots]
             block_labels, block_steps = labels[lo:lo + slots], steps[lo:lo + slots]
-            idx = block_idx
-            cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, work, spare)
-            for step in range(n_max + 1):
-                if step:
-                    fm(cur[0], out=nxt[0])
-                    cur, nxt = nxt, cur
-                zv = cur[0]
-                # |z|^2 = re*re + im*im, via the free buffer
-                np.multiply(cur[1], cur[1], out=nxt[1])
-                np.add(nxt[2], nxt[3], out=a2v)
-                if step == 0:
-                    np.not_equal(zv, 0, out=alivev)
-                else:
-                    np.greater(a2v, 0.0, out=alivev)
-                    if not np.max(a2v) <= r_esc2:  # np.max propagates nan
-                        np.less_equal(a2v, r_esc2, out=hitv)
-                        retire(np.flatnonzero(np.logical_not(hitv, out=hitv)), LABEL_ESCAPED)
-                live = np.count_nonzero(alivev)
-                np.less_equal(a2v, entry2, out=hitv)
-                hitv &= alivev
-                if hitv.any():
-                    u = nxt[0]
+            idx, live_mask = block_idx[:slots], alive[:slots]
+            live_mask.fill(True)
+            step, group, rows = 0, 1, cur  # step 0 judges the starts themselves
+            while live and step <= n_max:
+                if step:  # rows[t] holds the iterates of step + t
+                    group = min(_GROUP, max(1, _GROUP_ROOM // slots), n_max + 1 - step)
+                    home, spare = spare, home
+                    rows = home[:group * slots]
+                    for t in range(0, rows.size, slots):
+                        cur = fm(cur, out=rows[t:t + slots])
+                n = rows.size
+                last = rows[n - slots:]
+                # |z|^2 = re*re + im*im, via the spare buffer
+                sq = spare[:n]
+                np.square(rows.view(float), out=sq.view(float))
+                a2v, hv = a2[:n], hit[:n]
+                np.add(sq.real, sq.imag, out=a2v)
+                esc = on0 = inside = _NO_EVENT
+                if step and not np.max(a2v) <= r_esc2:  # np.max propagates nan
+                    np.less_equal(a2v, r_esc2, out=hv)
+                    esc = np.flatnonzero(np.logical_not(hv, out=hv))
+                np.less_equal(a2v, inner2 if step else entry2, out=hv)
+                hit_rows = hv.reshape(group, slots)
+                hit_rows &= live_mask
+                cand = np.flatnonzero(hv)
+                if cand.size:
+                    zc, rc = sq[:cand.size], rhs[:cand.size]
+                    np.take(rows, cand, out=zc, mode="clip")
+                    np.take(a2v, cand, out=rc, mode="clip")
+                    if not rc.all():  # an orbit on the fixed point is dropped, never judged
+                        fixed = zc == 0 if step == 0 else rc == 0
+                        on0 = cand[fixed]
+                        judged = np.logical_not(fixed, out=fixed)
+                        cand, zc, rc = cand[judged], zc[judged], rc[judged]
+                    u = zc  # u = m a z^m, in place
                     if m == 1:
-                        np.multiply(zv, ma, out=u)
-                        np.sqrt(a2v, out=rhsv)
+                        np.multiply(zc, ma, out=u)
+                        np.sqrt(rc, out=rc)
                     else:
-                        np.square(zv, out=u) if m == 2 else np.power(zv, m, out=u)
+                        np.square(zc, out=u) if m == 2 else np.power(zc, m, out=u)
                         u *= ma
-                        np.power(a2v, m / 2, out=rhsv)
-                    rhsv *= cos_lim
-                    hitv &= np.less_equal(nxt[2], rhsv, out=angv)
-                    sel = np.flatnonzero(hitv)
-                    if sel.size:
-                        if m == 1:
-                            retire(sel, 0)
-                        else:
-                            diff = np.abs(_wrap_angle(np.angle(zv[sel])[:, None]
-                                                      - v_args[None, :]))
-                            retire(sel, np.argmin(diff, axis=1))
-                        live -= sel.size
-                if live == 0:
-                    break
-                if 2 * live < slots:
-                    np.compress(alivev, zv, out=nxt[0][:live])
-                    idx = np.compress(alivev, idxv)
-                    slots = live
-                    cur, nxt, a2v, rhsv, alivev, hitv, angv, idxv = views(slots, nxt[0].base,
-                                                                          zv.base)
+                        np.power(rc, m / 2, out=rc)
+                    rc *= cos_lim
+                    inside = cand[np.less_equal(u.real, rc, out=hit[:cand.size])]
+                if group > 1 and esc.size + on0.size + inside.size:
+                    # keep each orbit's first event in step order
+                    first = np.full(slots, n)
+                    for flat in (esc, on0, inside):
+                        np.minimum.at(first, flat % slots, flat)
+                    esc, on0, inside = (flat[first[flat % slots] == flat]
+                                        for flat in (esc, on0, inside))
+                if esc.size:
+                    retire(esc, LABEL_ESCAPED)
+                if on0.size:
+                    retire(on0, None)
+                if inside.size:
+                    if m == 1:
+                        retire(inside, 0)
+                    else:
+                        diff = np.abs(_wrap_angle(np.angle(rows[inside])[:, None]
+                                                  - v_args[None, :]))
+                        retire(inside, np.argmin(diff, axis=1))
+                step += group
+                cur = last
+                if live and 2 * live < slots:
+                    np.compress(live_mask, cur, out=spare[:live])
+                    idx = np.compress(live_mask, idx)
+                    home, spare = spare, home
+                    cur, slots = home[:live], live
+                    live_mask = alive[:slots]
+                    live_mask.fill(True)
     return labels, steps
 
 

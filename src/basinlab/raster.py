@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoFailure, SeedNotInBasin
-from .parabolic import LABEL_ESCAPED, LABEL_UNDECIDED, ParabolicMap, classify_batch
+from .parabolic import LABEL_UNDECIDED, ParabolicMap, classify_batch
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -163,14 +163,15 @@ def write_image(grid: RasterGrid, path) -> None:
     """Binary P6 image, one fixed color per label, component mask blended 50%
     toward white. Byte-reproducible for identical inputs."""
     h, w = grid.labels.shape
-    rgb = np.empty((h, w, 3), dtype=np.uint8)
-    rgb[:] = _UNDECIDED_COLOR
-    rgb[grid.labels == LABEL_ESCAPED] = _ESCAPED_COLOR
-    for j in range(grid.m):
-        rgb[grid.labels == j] = _DIRECTION_COLORS[j % len(_DIRECTION_COLORS)]
+    # palette row label - LABEL_UNDECIDED: undecided, escaped, then the
+    # directions; the second half holds the same colors blended toward white
+    base = np.array([_UNDECIDED_COLOR, _ESCAPED_COLOR]
+                    + [_DIRECTION_COLORS[j % len(_DIRECTION_COLORS)] for j in range(grid.m)])
+    palette = np.concatenate((base, (base + 255) // 2)).astype(np.uint8)
+    row = grid.labels - LABEL_UNDECIDED
     if grid.component_mask is not None:
-        blended = (rgb[grid.component_mask].astype(np.uint16) + 255) // 2
-        rgb[grid.component_mask] = blended.astype(np.uint8)
+        row += len(base) * grid.component_mask
+    rgb = palette[row]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     try:
         with open(path, "wb") as fh:

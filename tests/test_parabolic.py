@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
-                      enumerate_Q, forward_orbit, parse_polynomial, preimages)
+                      enumerate_Q, forward_orbit, parse_polynomial, petals, preimages)
 from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
 from basinlab.parabolic import (_BLOCK, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
-                                 _ordered_sum, classify_batch, preimages_batch, quantize)
+                                 _ordered_sum, _wrap_angle, attraction_vectors, classify_batch,
+                                 preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
 
@@ -250,6 +252,117 @@ class TestClassifyBatchKernel:
         out = np.empty_like(z)
         assert fm(z, out=out) is out
         assert np.array_equal(out.view(float), fm(z).view(float))
+
+
+def _reference_classify(fm, points, n_max):
+    """classify_batch's labels and steps from a plain per-step loop over the
+    whole batch: fresh arrays every step, no blocks, no compaction, no
+    groups. Each step tests escape (from step 1 on), then the fixed point,
+    then the gate, in the same elementwise arithmetic as the kernel."""
+    gate = petals.membership_petal(fm)
+    v_args = np.array(attraction_vectors(fm).attraction_args)
+    m, ma = fm.m, fm.m * fm.a
+    r_esc2 = fm.escape_radius ** 2
+    entry2 = (abs(ma) * gate.rho2) ** (-2.0 / m)
+    cos_lim = math.cos(gate.gap_omega) * abs(ma)
+    z = np.array(points, dtype=complex)
+    labels = np.full(z.size, LABEL_UNDECIDED, dtype=np.int32)
+    steps = np.full(z.size, n_max, dtype=np.int32)
+    live = np.ones(z.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for step in range(n_max + 1):
+            if step:
+                z = fm(z)
+            a2 = z.real * z.real + z.imag * z.imag
+            if step:
+                escaped = live & ~(a2 <= r_esc2)
+                labels[escaped], steps[escaped] = LABEL_ESCAPED, step
+                live &= ~escaped
+            live &= ~(a2 == 0) if step else z != 0
+            inside = live & (a2 <= entry2) & ((z ** m * ma).real <= a2 ** (m / 2) * cos_lim)
+            if m == 1:
+                labels[inside] = 0
+            else:
+                diff = np.abs(_wrap_angle(np.angle(z[inside])[:, None] - v_args[None, :]))
+                labels[inside] = np.argmin(diff, axis=1)
+            steps[inside] = step
+            live &= ~inside
+            if not live.any():
+                break
+    return labels, steps
+
+
+class TestClassifyBatchReference:
+    # Seeded starts around the basin, salted with the fixed point, a preimage
+    # of it, a start whose |z|^2 underflows to 0, and overflowing and
+    # non-finite starts. Sizes 1 and 3 step in groups from step 1; 2,049 and
+    # _BLOCK + 5 step alone until few orbits are live. Neither n_max ends on a
+    # group boundary, so the last group is cut short.
+    SALT = np.array([0, -1, 1e-170, np.nan, np.inf, 1e300], dtype=complex)
+
+    @pytest.mark.parametrize("coefficients", [
+        [0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0.5 + 0.5j, 0, 1]])
+    @pytest.mark.parametrize("size", [1, 3, 2049, _BLOCK + 5])
+    @pytest.mark.parametrize("n_max", [100, 301])
+    def test_matches_reference(self, coefficients, size, n_max):
+        fm, _ = analyze_parabolic(coefficients)
+        rng = np.random.default_rng([size, n_max, len(coefficients)])
+        z = rng.uniform(-1.5, 1.0, size) + 1j * rng.uniform(-1.2, 1.2, size)
+        salted = rng.choice(size, min(size, 2 * len(self.SALT)), replace=False)
+        z[salted] = np.resize(rng.permutation(self.SALT), salted.size)
+        labels, steps = classify_batch(fm, z, n_max)
+        ref_labels, ref_steps = _reference_classify(fm, z, n_max)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(steps, ref_steps)
+
+    @pytest.mark.parametrize("size", [3, 2049])
+    def test_gate_wider_than_the_escape_disc(self, quad_map, monkeypatch, size):
+        # a gate of radius 10 around the vertex of z + z^2, whose escape radius
+        # is 3: an iterate can then be inside the gate's radius and escaping
+        # at once, and escape must win from step 1 on
+        fm, _ = quad_map
+        monkeypatch.setattr(petals, "membership_petal",
+                            lambda fm: SimpleNamespace(rho2=0.1, gap_omega=0.5))
+        rng = np.random.default_rng(size)
+        z = rng.uniform(-4.0, 4.0, size) + 1j * rng.uniform(-4.0, 4.0, size)
+        labels, steps = classify_batch(fm, z, 100)
+        ref_labels, ref_steps = _reference_classify(fm, z, 100)
+        assert {LABEL_ESCAPED, 0} <= set(labels.tolist())
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(steps, ref_steps)
+
+
+class TestTail:
+    # Three pixels of the prop3 1024-pixel raster of z + z^2 + z^3 on the
+    # repelling real axis, 1.4e-4 to 7.4e-4 from the vertex: they leave
+    # after about 1/x steps and are the last live orbits of their block.
+    FIRST = 309258
+    ESCAPES = [7264, 2292, 1361]
+
+    @pytest.fixture(scope="class")
+    def raster(self, perturbed_map):
+        return perturbed_map[0], _grid_points(_axis_sampling_window(0.3, 0.3, 1024), 1024)
+
+    def test_alone(self, raster):
+        fm, z = raster
+        labels, steps = classify_batch(fm, z[self.FIRST:self.FIRST + 3], 10000)
+        assert labels.tolist() == [LABEL_ESCAPED] * 3
+        assert steps.tolist() == self.ESCAPES
+
+    def test_in_their_block(self, raster):
+        fm, z = raster
+        lo = 9 * _BLOCK
+        labels, steps = classify_batch(fm, z[lo:lo + _BLOCK], 10000)
+        at = self.FIRST - lo
+        assert labels[at:at + 3].tolist() == [LABEL_ESCAPED] * 3
+        assert steps[at:at + 3].tolist() == self.ESCAPES
+        assert np.sort(steps)[-3:].tolist() == sorted(self.ESCAPES)
+
+    def test_budget_one_short(self, raster):
+        fm, z = raster
+        labels, steps = classify_batch(fm, z[self.FIRST:self.FIRST + 3], self.ESCAPES[0] - 1)
+        assert labels.tolist() == [LABEL_UNDECIDED, LABEL_ESCAPED, LABEL_ESCAPED]
+        assert steps.tolist() == [self.ESCAPES[0] - 1] + self.ESCAPES[1:]
 
 
 class TestLemmaAsymptotics:

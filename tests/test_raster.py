@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from basinlab import (Window, analyze_parabolic, classify_grid, construct_pacman
                       immediate_component, prop3_disjointness, write_image)
 from basinlab.errors import SeedNotInBasin
 from basinlab.parabolic import LABEL_ESCAPED
+from basinlab.raster import RasterGrid
 
 STD_WINDOW = Window(complex(-0.25, 0.0), 1.5, 1.5)
 
@@ -118,6 +121,21 @@ class TestWriteImage:
         write_image(quad_grid, p1)
         write_image(quad_grid, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    # sha256 of the PPM written by the per-label mask painter, for every label
+    # from -2 to m - 1 (m = 7 cycles the six direction colors) with and
+    # without a component mask
+    @pytest.mark.parametrize("m,masked,digest", [
+        (2, True, "b521b8ef10726b5a5046e37b4456abfe6724fd551f3ddd8f0936faad20aa82c2"),
+        (2, False, "4ba8aee04b4a4b5e158039b029d5f69bc6831328f94b5a49ec7a5ea8907f832e"),
+        (7, True, "190b4d778809be1a4687bf1f86bdef6afb749f2cccaf20cae4c47103bb747462"),
+        (7, False, "d1195836f7844a9865b717513349f04b4ef8422ab20a69f6f3d2ab8ab8203d15")])
+    def test_pinned_bytes(self, tmp_path, m, masked, digest):
+        labels = (np.arange(6 * 9, dtype=np.int32).reshape(6, 9) % (m + 2)) - 2
+        mask = (np.add.outer(np.arange(6), np.arange(9)) % 3 == 0) if masked else None
+        path = tmp_path / "p.ppm"
+        write_image(RasterGrid(STD_WINDOW, 9, 6, labels, m, 100, mask), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_256_grid_size_formula(self, quad_map, tmp_path):
         fm, _ = quad_map
