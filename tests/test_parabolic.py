@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -13,9 +14,9 @@ from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, petals, preimages)
 from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
-from basinlab.parabolic import (_BLOCK, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
-                                 _ordered_sum, _wrap_angle, attraction_vectors, classify_batch,
-                                 preimages_batch, quantize)
+from basinlab.parabolic import (_BLOCK, _GROUP, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
+                                 ParabolicMap, _ordered_sum, _wrap_angle, attraction_vectors,
+                                 classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
 
@@ -240,11 +241,21 @@ class TestClassifyBatchKernel:
 
     def test_orbits_on_the_fixed_point_stop_at_once(self, quad_map):
         # 0 is the fixed point and f(-1) = 0; neither is ever judged, and
-        # neither may keep the kernel iterating to n_max
-        fm, _ = quad_map
+        # neither may keep the kernel iterating to n_max: the map counts the
+        # iterates it evaluates, and -0.5 alone needs 206 steps
+        class CountingMap(ParabolicMap):
+            def __call__(self, z, out=None):
+                iterates.append(np.size(z))
+                return super().__call__(z, out)
+
+        iterates = []
+        fm = CountingMap(*dataclasses.astuple(quad_map[0]))
+        petals.membership_petal(fm)  # cached; its own evaluations are not the kernel's
+        iterates.clear()
         labels, steps = classify_batch(fm, np.array([0, -1, -0.5]), 10 ** 6)
         assert labels.tolist() == [LABEL_UNDECIDED, LABEL_UNDECIDED, 0]
         assert steps.tolist() == [10 ** 6, 10 ** 6, 206]
+        assert sum(iterates) <= 3 * (206 + _GROUP)
 
     def test_horner_into_buffer(self, perturbed_map):
         fm, _ = perturbed_map

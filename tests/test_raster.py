@@ -1,13 +1,15 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from test_parabolic import _grid_points
 
 from basinlab import (Window, analyze_parabolic, classify_grid, construct_pacman,
-                      immediate_component, prop3_disjointness, write_image)
-from basinlab.errors import SeedNotInBasin
-from basinlab.parabolic import LABEL_ESCAPED
-from basinlab.raster import RasterGrid
+                      immediate_component, prop3_disjointness, raster, write_image)
+from basinlab.errors import ConstructionFailed, SeedNotInBasin
+from basinlab.parabolic import LABEL_ESCAPED, LABEL_UNDECIDED
+from basinlab.raster import RasterGrid, WedgeReport, _axis_sampling_window
 
 STD_WINDOW = Window(complex(-0.25, 0.0), 1.5, 1.5)
 
@@ -104,6 +106,121 @@ class TestWedgeDisjointness:
         r1 = prop3_disjointness(fm, 0.3, 0.3, 128, n_max=6000)
         r2 = prop3_disjointness(fm, 0.3, 0.3, 256, n_max=6000)
         assert r1.disjoint == r2.disjoint
+
+
+def _reference_prop3(fm, R, theta0, resolution, n_max):
+    """prop3_disjointness as it was before it classified the wedge alone:
+    classify_grid labels the whole box, and the same reductions read the
+    labels inside the wedge."""
+    from scipy import ndimage
+    window = _axis_sampling_window(R, theta0, resolution)
+    grid = classify_grid(fm, window, resolution, n_max)
+    xs, ys = grid.pixel_centers()
+    x = np.broadcast_to(xs[None, :], grid.labels.shape)
+    y = np.broadcast_to(ys[:, None], grid.labels.shape)
+    r = np.hypot(x, y)
+    ang = np.arctan2(y, x)
+    wedge = (r < R) & (np.abs(ang) < theta0) & (r > 0)
+    basin = wedge & (grid.labels >= 0)
+    comp, _ = ndimage.label(basin, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
+    tol = window.width / grid.nx * math.sqrt(2.0) / 2.0
+    near1 = np.abs(y * math.cos(theta0) - x * math.sin(theta0)) <= tol
+    near2 = np.abs(y * math.cos(theta0) + x * math.sin(theta0)) <= tol
+    s1 = np.isin(comp, sorted(set(np.unique(comp[basin & near1])) - {0}))
+    s2 = np.isin(comp, sorted(set(np.unique(comp[basin & near2])) - {0}))
+    overlap = int(np.sum(s1 & s2))
+    return WedgeReport(overlap == 0, overlap, int(s1.sum()), int(s2.sum()),
+                       resolution, n_max, int(basin.sum()),
+                       int(np.sum(wedge & (grid.labels == LABEL_UNDECIDED))))
+
+
+class TestWedgeOnly:
+    # z + z^3 leaves some wedge pixels undecided at this budget; the tall
+    # wedges (theta0 > pi/6) take the widened box at the even resolution
+    @pytest.mark.parametrize("resolution", [256, 257])
+    @pytest.mark.parametrize("coefficients,theta0,disjoint", [
+        ([0, 1, 1, 1], 0.3, True),
+        ([0, 1, -1, -1], 0.3, False),
+        ([0, 1, 0, 1], 0.3, True),
+        ([0, 1, 0.5, 0.5], 0.1, True),
+        ([0, 1, 1, 1], 0.6, True),
+        ([0, 1, 1, 1], 1.0, True)])
+    def test_same_report_as_the_whole_box(self, coefficients, theta0, disjoint, resolution):
+        fm, _ = analyze_parabolic(coefficients)
+        rep = prop3_disjointness(fm, 0.3, theta0, resolution, n_max=6000)
+        assert rep == _reference_prop3(fm, 0.3, theta0, resolution, 6000)
+        assert rep.disjoint is disjoint
+
+    def test_classifies_the_wedge_pixels_alone(self, perturbed_map, monkeypatch):
+        fm, _ = perturbed_map
+        calls = []
+
+        def spy(fm, points, n_max):
+            calls.append(points.copy())
+            return real(fm, points, n_max)
+
+        real = raster.classify_batch
+        monkeypatch.setattr(raster, "classify_batch", spy)
+        prop3_disjointness(fm, 0.3, 0.3, 256, n_max=6000)
+        grid = _grid_points(_axis_sampling_window(0.3, 0.3, 256), 256)
+        wedge = (np.abs(grid) < 0.3) & (np.abs(np.angle(grid)) < 0.3) & (grid != 0)
+        assert len(calls) == 1
+        assert calls[0].dtype == complex
+        assert calls[0].tobytes() == grid[wedge].tobytes()
+        assert calls[0].size < 0.55 * grid.size
+
+
+class TestAxisSamplingWindow:
+    @staticmethod
+    def _search_before_the_fix(R, theta0, resolution):
+        # the height search alone; None where it gave up and fell back
+        width, base_h, pad = R * 1.02, 2.0 * R * math.sin(theta0), 1.02
+        for _ in range(200):
+            height = base_h * pad
+            if width >= height:
+                ny = max(1, round(resolution * height / width))
+            else:
+                ny = resolution
+            if ny % 2 == 1:
+                return Window(complex(R / 2.0, 0.0), width, height)
+            pad *= 1.003
+        return None
+
+    RESOLUTIONS = [1, 2, 3, 16, 96, 255, 256, 1024, 2048]
+
+    @pytest.mark.parametrize("theta0", [0.01, 0.1, 0.3, 0.5, 0.52, math.pi / 6,
+                                        0.6, 1.0, 1.5])
+    def test_odd_rows_with_one_on_the_axis(self, theta0):
+        for resolution in self.RESOLUTIONS:
+            window = _axis_sampling_window(0.3, theta0, resolution)
+            nx, ny = raster._grid_shape(window, resolution)
+            assert ny % 2 == 1 and max(nx, ny) == resolution
+            _, ys = raster._pixel_centers(window, nx, ny)
+            assert ys[ny // 2] == 0.0
+            assert window.height >= 2 * 0.3 * math.sin(theta0)
+
+    def test_windows_the_height_search_found_are_unchanged(self):
+        found = 0
+        for theta0 in np.linspace(0.005, math.pi / 6, 60):
+            for resolution in self.RESOLUTIONS:
+                old = self._search_before_the_fix(0.3, theta0, resolution)
+                if old is not None:
+                    found += 1
+                    assert _axis_sampling_window(0.3, theta0, resolution) == old
+        assert found > 500
+
+    def test_even_resolution_on_a_tall_wedge_keeps_the_axis_row(self, perturbed_map):
+        # before the fix, res 256 fell back to a box with no row on the axis
+        # and reported 15,496 overlap pixels
+        fm, _ = perturbed_map
+        assert self._search_before_the_fix(0.3, 0.6, 256) is None
+        rep = prop3_disjointness(fm, 0.3, 0.6, 256, n_max=6000)
+        assert rep.disjoint and rep.overlap_pixels == 0
+
+    def test_no_odd_row_count_raises(self, monkeypatch):
+        monkeypatch.setattr(raster, "_grid_shape", lambda window, resolution: (8, 8))
+        with pytest.raises(ConstructionFailed):
+            _axis_sampling_window(0.3, 0.3, 8)
 
 
 class TestWriteImage:
