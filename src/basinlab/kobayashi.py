@@ -28,11 +28,31 @@ import numpy as np
 from .errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
                      OutsideDomain, PathExitsDomain, SmallRealPart)
 
-_TWO_PI = 2.0 * math.pi
 _ANG_GUARD = 1e-12  # relative boundary-proximity guard on the argument
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PATH_RTOL, _PATH_ATOL = 1e-11, 1e-12  # agreement of successive quadrature totals
 _PATH_MAX_DEPTH = 12  # at most 2**12 subintervals per segment
+
+
+def wrap_angle(x):
+    """Reduce an angle (float or array) to [-pi, pi)."""
+    return (x + math.pi) % math.tau - math.pi
+
+
+def lift_angle(ang, low: float, flag=None, wrap=None):
+    """low + (ang - low) mod 2pi, in [low, low + 2pi). A float stays in Python
+    arithmetic; an array is overwritten and returned, flag (bool) and wrap
+    (float) being optional scratch of its shape. np.fmod plus 2pi times the
+    sign flag of the remainder equals Python's %, bit for bit, also for a zero
+    remainder of either sign, and is several times faster."""
+    if not isinstance(ang, np.ndarray):
+        return low + (ang - low) % math.tau
+    np.subtract(ang, low, out=ang)
+    np.fmod(ang, math.tau, out=ang)
+    flag = np.less(ang, 0.0, out=flag)
+    ang += np.multiply(flag, math.tau, out=wrap)
+    ang += low
+    return ang
 
 
 @dataclass(frozen=True)
@@ -44,9 +64,8 @@ class LiftedPoint:
 
     @classmethod
     def from_complex(cls, z: complex, low: float = 0.0) -> "LiftedPoint":
-        """Lift z with argument chosen in (low, low + 2pi)."""
-        theta = low + (cmath.phase(z) - low) % _TWO_PI
-        return cls(abs(z), theta)
+        """Lift z with argument chosen in [low, low + 2pi)."""
+        return cls(abs(z), lift_angle(cmath.phase(z), low))
 
     def to_complex(self) -> complex:
         return self.r * cmath.exp(1j * self.theta)
@@ -66,19 +85,19 @@ class ModelDomain:
 
     @classmethod
     def slit_plane(cls) -> "ModelDomain":
-        return cls("slit_plane", 0.0, _TWO_PI)
+        return cls("slit_plane", 0.0, math.tau)
 
     @classmethod
     def sector(cls, arg_low: float, arg_high: float) -> "ModelDomain":
         w = arg_high - arg_low
-        if not (0.0 < w <= _TWO_PI):
+        if not (0.0 < w <= math.tau):
             raise ValueError("sector opening must lie in (0, 2pi]")
         return cls("sector", arg_low, arg_high)
 
     @classmethod
     def double_sector(cls, arg_low: float, arg_high: float) -> "ModelDomain":
-        if arg_high - arg_low <= _TWO_PI:
-            raise ValueError("double sector opening must exceed 2pi")
+        if not (math.tau < arg_high - arg_low < math.inf):
+            raise ValueError("double sector opening must be finite and exceed 2pi")
         return cls("double_sector", arg_low, arg_high)
 
     @property
@@ -98,18 +117,14 @@ class ModelDomain:
             z = complex(p)
             if self.tag == "double_sector":
                 raise OutsideDomain("double sector points must carry a lifted argument")
-            theta = self.arg_low + (cmath.phase(z) - self.arg_low) % _TWO_PI
-            r = abs(z)
-        # written as "not inside" so that a nan radius or argument is outside
-        if not r > 0.0:
-            raise OutsideDomain("origin, negative and nan radii are outside every domain")
-        if not (theta - self.arg_low > _ANG_GUARD and self.arg_high - theta > _ANG_GUARD):
-            raise OutsideDomain(
-                f"argument {theta} not inside the boundary rays "
-                f"({self.arg_low}, {self.arg_high}) by the guard distance")
+            r, theta = abs(z), lift_angle(cmath.phase(z), self.arg_low)
+        if not self.contains_rtheta(r, theta):
+            raise OutsideDomain(f"(r, theta) = ({r}, {theta}) is not inside "
+                                f"({self.arg_low}, {self.arg_high}) by the guard distance")
         return r, theta
 
     def contains_rtheta(self, r, theta):
+        """Whether (r, theta) lies inside, elementwise; a nan is outside."""
         return ((r > 0.0)
                 & (theta - self.arg_low > _ANG_GUARD)
                 & (self.arg_high - theta > _ANG_GUARD))
@@ -139,11 +154,16 @@ def _density_into(domain: ModelDomain, r, theta, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uv(domain: ModelDomain, log_r, theta):
+    """The chart's log-coordinates (pi/h) (ln r, theta - lo), float or array."""
+    scale = math.pi / domain.width
+    return scale * log_r, scale * (theta - domain.arg_low)
+
+
 def chart_uv(domain: ModelDomain, p) -> tuple[float, float]:
     """Log-coordinates (u, v) of the half-plane chart value w = e^u e^(iv)."""
     r, theta = domain.to_rtheta(p)
-    scale = math.pi / domain.width
-    return scale * math.log(r), scale * (theta - domain.arg_low)
+    return _uv(domain, math.log(r), theta)
 
 
 def chart(domain: ModelDomain, p) -> complex:
@@ -194,23 +214,33 @@ def distance_exact(domain: ModelDomain, p1, p2) -> DistanceBound:
     return DistanceBound(_dist_uv(u1, v1, u2, v2), "exact", "chart")
 
 
+def chart_distances(domain: ModelDomain, p0, r: np.ndarray,
+                    ang: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distances from p0 to the points r e^(i ang), 0 <= ang <= 2pi, each
+    the least over the lifts ang + 2pi k that lie in the domain. Returns
+    (distances, inside): inside marks the points with some lift in the domain
+    (not read off the distances, so a nan or inf distance stays inside); the
+    others get inf."""
+    u0, v0 = chart_uv(domain, p0)
+    dist = np.full(r.shape, np.inf)
+    inside = np.zeros(r.shape, dtype=bool)
+    # the lift with this k lies in [2pi k, 2pi (k + 1)]
+    ks = range(math.floor(domain.arg_low / math.tau), math.ceil(domain.arg_high / math.tau))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in ks:
+            th = ang + math.tau * k
+            ok = domain.contains_rtheta(r, th)
+            if not ok.any():
+                continue
+            u, v = _uv(domain, np.log(r[ok]), th[ok])
+            dist[ok] = np.minimum(dist[ok], dist_uv_arrays(u, v, u0, v0))
+            inside[ok] = True
+    return dist, inside
+
+
 # ---------------------------------------------------------------------------
 # Polylines: validation, length by quadrature, geodesic sampling
 # ---------------------------------------------------------------------------
-
-def _lift(ang: np.ndarray, low: float, flag=None, wrap=None) -> np.ndarray:
-    """Overwrite ang with low + (ang - low) mod 2pi, elementwise, and return
-    it; flag (bool) and wrap (float) are optional scratch of ang's shape.
-    np.fmod plus 2pi times the sign flag of the remainder equals Python's %,
-    bit for bit, also for a zero remainder of either sign, and is several
-    times faster."""
-    np.subtract(ang, low, out=ang)
-    np.fmod(ang, _TWO_PI, out=ang)
-    flag = np.less(ang, 0.0, out=flag)
-    ang += np.multiply(flag, _TWO_PI, out=wrap)
-    ang += low
-    return ang
-
 
 def _vertex_arrays(domain: ModelDomain, vertices) -> tuple[np.ndarray, np.ndarray]:
     """Complex positions and argument lifts of the polyline vertices.
@@ -224,7 +254,7 @@ def _vertex_arrays(domain: ModelDomain, vertices) -> tuple[np.ndarray, np.ndarra
         if not isinstance(vertices, np.ndarray):
             vertices = [p.to_complex() if isinstance(p, LiftedPoint) else p for p in vertices]
         zs = np.asarray(vertices, dtype=complex)
-        return zs, _lift(np.angle(zs), domain.arg_low)
+        return zs, lift_angle(np.angle(zs), domain.arg_low)
     if not all(isinstance(p, LiftedPoint) for p in vertices):
         raise PathExitsDomain("double sector paths need lifted vertices")
     if not all(p.r > 0.0 for p in vertices):  # |to_complex()| would hide the sign
@@ -242,10 +272,10 @@ def _chord_rtheta(domain: ModelDomain, za, zb, tha, t: np.ndarray,
     np.add(za[:, None], z, out=z)
     np.arctan2(z.imag, z.real, out=theta)  # np.angle, in place
     if domain.tag != "double_sector":
-        _lift(theta, domain.arg_low, flag, r)  # r is free until the moduli land
+        lift_angle(theta, domain.arg_low, flag, r)  # r is free until the moduli land
     else:
-        d0 = (theta[:, 0] - np.angle(za) + math.pi) % _TWO_PI - math.pi
-        steps = (np.diff(theta, axis=1) + math.pi) % _TWO_PI - math.pi
+        d0 = wrap_angle(theta[:, 0] - np.angle(za))
+        steps = wrap_angle(np.diff(theta, axis=1))
         theta[:, 0] = 0.0
         np.cumsum(steps, axis=1, out=theta[:, 1:])
         theta += (tha + d0)[:, None]
@@ -386,7 +416,7 @@ def kappa_infimum(m: int, theta_range: tuple[float, float]) -> tuple[float, floa
     the cap.
     """
     lo, hi = theta_range
-    cap = min(math.pi, _TWO_PI / m)
+    cap = min(math.pi, math.tau / m)
     if not (0.0 <= lo < hi <= cap + 1e-12):
         raise ValueError("theta range must sit inside (0, min(pi, 2pi/m))")
     hi = min(hi, cap - 1e-12) if hi >= cap else hi

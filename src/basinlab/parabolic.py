@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic, NumericOverflow,
                      PointCapExceeded)
+from .kobayashi import wrap_angle
 
 # Labels used by the vectorized classifier. Nonnegative values are direction
 # indices; the negative values are terminal non-direction states.
@@ -31,12 +32,6 @@ _BLOCK = 1 << 15  # classify_batch block: 16 K and 32 K points tie, 64 K is slow
 _GROUP = 64  # most steps classify_batch takes in one group while few orbits are live
 _GROUP_ROOM = 2048  # iterates one group may hold; a live set above half of it steps alone
 _NO_EVENT = np.empty(0, dtype=np.intp)
-_TWO_PI = 2.0 * math.pi
-
-
-def _wrap_angle(x):
-    """Reduce an angle (scalar or array) to [-pi, pi)."""
-    return (x + math.pi) % _TWO_PI - math.pi
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class AttractionVectorSet:
 
     @property
     def attraction_args(self) -> tuple:
-        return tuple(cmath.phase(v) % _TWO_PI for v in self.attraction)
+        return tuple(cmath.phase(v) % math.tau for v in self.attraction)
 
 
 class OrbitStatus(Enum):
@@ -168,10 +163,10 @@ def attraction_vectors(fm: ParabolicMap) -> AttractionVectorSet:
     rad = (1.0 / (m * abs(a))) ** (1.0 / m)
     base_att = (math.pi - cmath.phase(a)) / m
     base_rep = (-cmath.phase(a)) / m
-    att = [_snap_axis(rad * cmath.exp(1j * (base_att + _TWO_PI * j / m))) for j in range(m)]
-    rep = [_snap_axis(rad * cmath.exp(1j * (base_rep + _TWO_PI * j / m))) for j in range(m)]
-    att.sort(key=lambda v: cmath.phase(v) % _TWO_PI)
-    rep.sort(key=lambda v: cmath.phase(v) % _TWO_PI)
+    att = [_snap_axis(rad * cmath.exp(1j * (base_att + math.tau * j / m))) for j in range(m)]
+    rep = [_snap_axis(rad * cmath.exp(1j * (base_rep + math.tau * j / m))) for j in range(m)]
+    att.sort(key=lambda v: cmath.phase(v) % math.tau)
+    rep.sort(key=lambda v: cmath.phase(v) % math.tau)
     return AttractionVectorSet(tuple(att), tuple(rep))
 
 
@@ -347,7 +342,7 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
                     if m == 1:
                         retire(inside, 0)
                     else:
-                        diff = np.abs(_wrap_angle(np.angle(rows[inside])[:, None]
+                        diff = np.abs(wrap_angle(np.angle(rows[inside])[:, None]
                                                   - v_args[None, :]))
                         retire(inside, np.argmin(diff, axis=1))
                 step += group
@@ -496,7 +491,7 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
 
     inner = max(abs(c) for c in fm.coefficients[:-1])
     radius = 1.0 + (inner + np.abs(ws)) / abs(fm.coefficients[-1])
-    angles = _TWO_PI * (np.arange(deg) + 0.37) / deg
+    angles = math.tau * (np.arange(deg) + 0.37) / deg
     z = radius[:, None] * 0.9 * np.exp(1j * (angles[None, :] + 0.1))
     target = 1e-13 * np.maximum(1.0, np.abs(ws))
     z = _aberth(fm, z, ws, target, radius)

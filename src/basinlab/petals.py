@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAngle, NoConvergence, OriginInput
+from .kobayashi import wrap_angle
 from .parabolic import ParabolicMap, attraction_vectors
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ def fatou_chart(fm: ParabolicMap, z: complex) -> FatouChartValue:
     m, a = fm.m, fm.a
     w = -1.0 / (m * a * z ** m)
     theta_pref = cmath.phase(-1.0 / (m * a * w))
-    sheet = round((m * cmath.phase(z) - theta_pref) / _TWO_PI) % m
+    sheet = round((m * cmath.phase(z) - theta_pref) / math.tau) % m
     return FatouChartValue(w, sheet)
 
 
@@ -52,7 +51,7 @@ def fatou_chart_inverse(fm: ParabolicMap, value: FatouChartValue) -> complex:
     m, a = fm.m, fm.a
     target = -1.0 / (m * a * value.omega)
     r = abs(target) ** (1.0 / m)
-    phi = (cmath.phase(target) + _TWO_PI * value.sheet) / m
+    phi = (cmath.phase(target) + math.tau * value.sheet) / m
     return r * cmath.exp(1j * phi)
 
 
@@ -80,7 +79,7 @@ def estimate_remainder(fm: ParabolicMap, rho: float) -> float:
     r = (1.0 / (m * abs(a) * rho)) ** (1.0 / m)
     if sum(abs(c) * r ** (k - 1) for k, c in enumerate(fm.coefficients[2:], 2)) >= 1.0:
         return math.inf
-    angles = _TWO_PI * (np.arange(128) + 0.5) / 128
+    angles = math.tau * (np.arange(128) + 0.5) / 128
     z = r * np.exp(1j * angles)
     with np.errstate(divide="ignore", invalid="ignore"):
         sup = float(np.max(np.abs(-1.0 / (m * a * fm(z) ** m) + 1.0 / (m * a * z ** m) - 1.0)))
@@ -98,7 +97,7 @@ class PacManDomain:
 
     radius: float
     gap_angle: float
-    sector_opening: float = _TWO_PI
+    sector_opening: float = math.tau
     axis_arg: float = math.pi
 
     def __post_init__(self):
@@ -111,7 +110,7 @@ class PacManDomain:
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         half = self.sector_opening / 2.0 - self.gap_angle
-        off = np.abs((np.angle(z) - self.axis_arg + math.pi) % _TWO_PI - math.pi)
+        off = np.abs(wrap_angle(np.angle(z) - self.axis_arg))
         return (r > 0) & (r <= self.radius) & (off < half)
 
     @classmethod
@@ -150,7 +149,7 @@ class PacManConstruction:
 
     def domain(self, direction: int = 0) -> PacManDomain:
         """The inner pacman (radius R0_prime) about the given direction."""
-        return PacManDomain(self.R0_prime, self.theta0, _TWO_PI / self.m,
+        return PacManDomain(self.R0_prime, self.theta0, math.tau / self.m,
                             self.attraction_args[direction])
 
     def to_json_dict(self) -> dict:
@@ -270,7 +269,7 @@ def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
         z[alive] = fm(z[alive])
         za = z[alive]
         ra = np.abs(za)
-        off = np.abs((np.angle(za) - axis + math.pi) % _TWO_PI - math.pi)
+        off = np.abs(wrap_angle(np.angle(za) - axis))
         margin = np.minimum(pm.R0 - ra, ra * (half - off))
         out = margin <= 0.0
         if out.any():

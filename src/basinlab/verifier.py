@@ -15,19 +15,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (ConstructionFailed, NonPositiveImaginary, OutsideComparisonDomain,
                      SmallRealPart)
-from .kobayashi import (DistanceBound, ModelDomain, bound_case1, bound_case2_horizontal,
-                        dist_uv_arrays, kappa_infimum, kobayashi_disk_clearance)
+from .kobayashi import (DistanceBound, LiftedPoint, ModelDomain, bound_case1,
+                        bound_case2_horizontal, chart_distances, kappa_infimum,
+                        kobayashi_disk_clearance, wrap_angle)
 from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q,
                         preimages_batch)
 from .petals import PacManConstruction, construct_pacman
 
-_TWO_PI = 2.0 * math.pi
 _CLOSURE_RESIDUAL_TOL = 1e-8  # |f^d(w) - z0| on preimages w of z0, |f(v) - value[parent]| on Q
 
 
@@ -92,16 +92,16 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
         raise ConstructionFailed(f"wedge construction rejected theta0={theta0}") from exc
     eps = pm.R0_prime * math.exp(-2.0 * C / m)
     theta_star = min(1.5 * theta0, 0.9 * math.asin(min(1.0, cap)))
-    rotation = (vs.attraction_args[direction] - math.pi / m) % _TWO_PI
+    rotation = (vs.attraction_args[direction] - math.pi / m) % math.tau
     z0 = eps * complex(math.cos(rotation + theta_star), math.sin(rotation + theta_star))
     z0n = complex(math.cos(theta_star), math.sin(theta_star))
 
-    opening = _TWO_PI / m
+    opening = math.tau / m
     higher = fm.degree > m + 1
     if not higher:
         comparison = ModelDomain.slit_plane() if m == 1 else ModelDomain.sector(0.0, opening)
     elif m == 1:
-        comparison = ModelDomain.double_sector(-theta0, _TWO_PI + theta0)
+        comparison = ModelDomain.double_sector(-theta0, math.tau + theta0)
     else:
         comparison = ModelDomain.sector(-theta0, opening + theta0)
 
@@ -116,46 +116,22 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
 
 
 def _rotated_polar(params: TheoremParams, values) -> tuple[np.ndarray, np.ndarray]:
-    """Modulus and argument in [0, 2pi) of the values in the frame rotated by
-    -params.rotation, where the comparison domain sits."""
+    """Modulus and argument in [0, 2pi] of the values in the frame rotated by
+    -params.rotation, where the comparison domain sits (an argument just below
+    0 rounds up to 2pi)."""
     zeta = values * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-    return np.abs(zeta), np.angle(zeta) % _TWO_PI
+    return np.abs(zeta), np.angle(zeta) % math.tau
 
 
 def certify_points(params: TheoremParams, values: np.ndarray, polar):
-    """Exact comparison-domain distance from z0 to every value.
-
-    `polar` is _rotated_polar(params, values), computed once by the caller.
-    Returns (distances, inside_mask); points admitting several lifts into the
-    domain get the minimum over lifts, which can only under-state the bound
-    and therefore stays sound.
-    """
-    dom = params.comparison_domain
-    scale = math.pi / dom.width
-    r, ang = polar
-    z0n_rot = params.z0 * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-    r0 = abs(z0n_rot)
-    th0 = math.atan2(z0n_rot.imag, z0n_rot.real) % _TWO_PI
-    u0 = scale * math.log(r0)
-    v0 = scale * (th0 - dom.arg_low)
-
-    dist = np.full(values.shape, np.inf)
-    inside = np.zeros(values.shape, dtype=bool)
-    positive = r > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.where(positive, np.log(np.where(positive, r, 1.0)), -np.inf)
-        for k in (-1, 0, 1):  # the lifts theta + 2 pi k
-            th = ang + _TWO_PI * k
-            ok = dom.contains_rtheta(r, th)
-            if not ok.any():
-                continue
-            u = scale * logr[ok]
-            v = scale * (th[ok] - dom.arg_low)
-            d = dist_uv_arrays(u, v, u0, v0)
-            cur = dist[ok]
-            dist[ok] = np.minimum(cur, d)
-            inside[ok] = True
-    return dist, inside
+    """Exact comparison-domain distance from z0 to every value, as
+    (distances, inside_mask) of chart_distances in the rotated frame. The
+    values are read through `polar` = _rotated_polar(params, values), which
+    the caller computes once. The least distance over several lifts can only
+    under-state the bound, so it stays sound."""
+    z0 = params.z0 * complex(math.cos(-params.rotation), math.sin(-params.rotation))
+    base = LiftedPoint(abs(z0), math.atan2(z0.imag, z0.real) % math.tau)
+    return chart_distances(params.comparison_domain, base, *polar)
 
 
 def certify_pair(params: TheoremParams, q_tilde: complex) -> tuple[DistanceBound, dict]:
@@ -171,7 +147,7 @@ def certify_pair(params: TheoremParams, q_tilde: complex) -> tuple[DistanceBound
 
 def _cross_checks(params: TheoremParams, r: np.ndarray, ang: np.ndarray) -> dict:
     axis = math.pi / params.m
-    on_ray = np.abs(((ang - axis + math.pi) % _TWO_PI) - math.pi) < 1e-9
+    on_ray = np.abs(wrap_angle(ang - axis)) < 1e-9
     out = {
         "case1": bound_case1(params.epsilon, params.pacman.R0_prime, params.m).value,
         "case1_applicable": int(np.sum(r >= params.pacman.R0_prime)),
@@ -282,8 +258,7 @@ class TheoremCertificate:
 
 
 def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
-                   l_max: int = 10, direction: int | None = 0, *,
-                   z0_override: complex | None = None) -> TheoremCertificate:
+                   l_max: int = 10, direction: int | None = 0) -> TheoremCertificate:
     """Produce a certificate that min over the truncated Q of the exact
     comparison-domain distance from z0 is at least C.
 
@@ -293,9 +268,6 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
     t_start = time.perf_counter()
     qe = enumerate_Q(fm, q, k_max, l_max, direction)
     params = choose_parameters(fm, C, qe.direction)
-    if z0_override is not None:
-        zr = z0_override * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-        params = replace(params, z0=complex(z0_override), z0_normalized=zr / abs(zr))
 
     values = qe.value
     r, ang = polar = _rotated_polar(params, values)

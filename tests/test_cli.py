@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import re
@@ -268,3 +269,48 @@ def test_package_reads_no_environment():
                for n, line in enumerate(path.read_text().splitlines(), 1)
                if re.search(r"\benviron\b|getenv", line)]
     assert readers == []
+
+
+def test_angle_geometry_has_one_owner():
+    # the [-pi, pi) wrap is kobayashi.wrap_angle and 2pi is math.tau
+    src = Path(basinlab.__file__).resolve().parent
+    pattern = r"\+\s*(math|np)\.pi\)\s*%.*-\s*(math|np)\.pi|2(\.0)?\s*\*\s*(math|np)\.pi"
+    hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+    assert [h for h in hits if not h.startswith("kobayashi.py:")] == []
+    assert len(hits) == 1  # the body of wrap_angle
+
+
+# sha256 prefixes of the files each command writes, taken before the
+# certificate's distance pass moved into kobayashi.chart_distances. A change to
+# one changes a certificate or a distance, and must be deliberate and stated.
+_PINNED = {
+    "verify-cubic": (["verify", "--poly", "0,1,0,1", "--C", "2", "--q", "0,0.3",
+                      "--kmax", "15", "--lmax", "8", "--dump-bounds"],
+                     {"certificate.json": "067fe316a9f7c49a", "bounds.csv": "7828723c502dee48"}),
+    "closure-quad": (["closure", "--poly", "0,1,1", "--C", "2", "--q", "-0.5",
+                      "--kmax", "20", "--lmax", "10", "--depth", "3"],
+                     {"certificate.json": "29823257ac616828", "closure.json": "3d6ce7fcb1e716f8"}),
+    "verify-double-sector": (["verify", "--poly", "0,1,1,1", "--C", "2", "--q=-0.2",
+                              "--kmax", "12", "--lmax", "6", "--dump-bounds"],
+                             {"certificate.json": "08d57f878ceadf2a",
+                              "bounds.csv": "77eab4dbc8268a59"}),
+    "distance-slit-path": (["distance", "--domain", "slit", "--z1=-0.5,0.5", "--z2=-0.5,-0.5",
+                            "--path=-0.5,0.5;-1,0.2;-1,-0.2;-0.5,-0.5"],
+                           {"distance.json": "bbd7e567036d7a57"}),
+    "distance-sector": (["distance", "--domain", "sector", "--lo=-0.3", "--hi=2.9",
+                         "--z1", "0.5,0.5", "--z2=-0.5,0.8"],
+                        {"distance.json": "b20c75191e11fbf1"}),
+    "distance-double": (["distance", "--domain", "double", "--lo=-0.2", "--hi=6.6",
+                         "--z1", "0.5,-0.1", "--z2=-0.5,0.8"],
+                        {"distance.json": "03c0dac79934eb9f"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_output_bytes_are_pinned(name, tmp_path):
+    argv, digests = _PINNED[name]
+    assert cli.main(["--out-dir", str(tmp_path), *argv]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in digests}
+    assert got == digests

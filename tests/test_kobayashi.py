@@ -15,7 +15,7 @@ from basinlab import (LiftedPoint, ModelDomain, bound_case1, bound_case2,
 from basinlab.errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
                              OutsideDomain, PathExitsDomain, SmallRealPart)
 from basinlab import kobayashi
-from basinlab.kobayashi import _lift, _vertex_arrays
+from basinlab.kobayashi import _vertex_arrays, lift_angle
 
 LN2 = math.log(2.0)
 H = ModelDomain.half_plane()
@@ -36,7 +36,7 @@ def _sampled_path_length(domain, vertices):
         z = za[:, None] + (zb - za)[:, None] * t[None, :]
         ang = np.angle(z)
         if domain.tag != "double_sector":
-            return np.abs(z), _lift(ang, domain.arg_low)
+            return np.abs(z), lift_angle(ang, domain.arg_low)
         d0 = (ang[:, 0] - np.angle(za) + math.pi) % two_pi - math.pi
         steps = (np.diff(ang, axis=1) + math.pi) % two_pi - math.pi
         theta = (tha + d0)[:, None] + np.concatenate(
@@ -320,7 +320,17 @@ class TestPathLength:
         ang = np.r_[np.random.default_rng(3).uniform(-7.0, 7.0, 500),
                     0.0, -0.0, math.pi, -math.pi, low, low - 2 * math.pi, low + 2 * math.pi]
         expected = np.array([low + (a - low) % (2 * math.pi) for a in ang.tolist()])
-        assert _lift(ang, low).tobytes() == expected.tobytes()
+        floats = np.array([lift_angle(a, low) for a in ang.tolist()])
+        assert lift_angle(ang, low).tobytes() == expected.tobytes() == floats.tobytes()
+
+    def test_wrap_float_and_array_agree(self):
+        ang = np.r_[np.random.default_rng(4).uniform(-20.0, 20.0, 500),
+                    0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi]
+        wrapped = kobayashi.wrap_angle(ang)
+        floats = [kobayashi.wrap_angle(a) for a in ang.tolist()]
+        assert all(type(w) is float for w in floats)
+        assert wrapped.tobytes() == np.array(floats).tobytes()
+        assert np.all((-math.pi <= wrapped) & (wrapped < math.pi))
 
     def test_polyline_is_an_array_off_the_double_sector(self):
         sector = ModelDomain.sector(-0.3, 5.5)
@@ -330,13 +340,13 @@ class TestPathLength:
         assert poly[-1] == LiftedPoint.from_complex(z2, -0.3).to_complex()
         zs, thetas = _vertex_arrays(sector, poly)
         assert zs.tobytes() == poly.tobytes()
-        assert thetas.tobytes() == _lift(np.angle(poly), -0.3).tobytes()
+        assert thetas.tobytes() == lift_angle(np.angle(poly), -0.3).tobytes()
         # a plain list, with a LiftedPoint at its end, takes the same path
         mixed = [*poly[:-1].tolist(), LiftedPoint.from_complex(poly[-1], -0.3)]
         zs_m, thetas_m = _vertex_arrays(sector, mixed)
         end = mixed[-1].to_complex()
         assert zs_m.tobytes() == np.r_[poly[:-1], end].tobytes()
-        assert thetas_m.tobytes() == _lift(np.angle(np.r_[poly[:-1], end]), -0.3).tobytes()
+        assert thetas_m.tobytes() == lift_angle(np.angle(np.r_[poly[:-1], end]), -0.3).tobytes()
         assert path_length(sector, poly) == pytest.approx(distance_exact(sector, z1, z2).value,
                                                           abs=1e-5)
 
@@ -491,6 +501,14 @@ class TestDomainGuards:
         assert p.theta == pytest.approx(math.pi)
         p2 = LiftedPoint.from_complex(-1.0, low=2.0 * math.pi)
         assert p2.theta == pytest.approx(3.0 * math.pi)
+        assert LiftedPoint.from_complex(1.0, 0.0).theta == 0.0  # the window is [low, low + 2pi)
+
+    @pytest.mark.parametrize("low, high", [(0.0, math.inf), (math.nan, 7.0), (-math.inf, 0.0),
+                                           (0.0, math.nan)])
+    def test_double_sector_needs_finite_bounds(self, low, high):
+        # an infinite opening gave a nan path length, a nan bound a domain of no points
+        with pytest.raises(ValueError):
+            ModelDomain.double_sector(low, high)
 
     def test_boundary_guard(self):
         with pytest.raises(OutsideDomain):

@@ -14,8 +14,9 @@ from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
                       enumerate_Q, forward_orbit, parse_polynomial, petals, preimages)
 from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
+from basinlab.kobayashi import wrap_angle
 from basinlab.parabolic import (_BLOCK, _GROUP, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
-                                 ParabolicMap, _ordered_sum, _wrap_angle, attraction_vectors,
+                                 ParabolicMap, _ordered_sum, attraction_vectors,
                                  classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
@@ -294,7 +295,7 @@ def _reference_classify(fm, points, n_max):
             if m == 1:
                 labels[inside] = 0
             else:
-                diff = np.abs(_wrap_angle(np.angle(z[inside])[:, None] - v_args[None, :]))
+                diff = np.abs(wrap_angle(np.angle(z[inside])[:, None] - v_args[None, :]))
                 labels[inside] = np.argmin(diff, axis=1)
             steps[inside] = step
             live &= ~inside

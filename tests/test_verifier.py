@@ -4,10 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from basinlab import (ModelDomain, certify_pair, choose_parameters,
-                      corollary_d_closure, distance_exact, path_length,
-                      verify_theorem)
-from basinlab.errors import NotInBasin
+from basinlab import (LiftedPoint, ModelDomain, analyze_parabolic, certify_pair,
+                      choose_parameters, corollary_d_closure, distance_exact, kobayashi,
+                      path_length, verifier, verify_theorem)
+from basinlab.errors import NotInBasin, OutsideComparisonDomain
+
+
+def _bad_z0(monkeypatch):
+    """Make verify_theorem place z0 at -0.5, on the orbit of q = -0.5."""
+    choose = verifier.choose_parameters
+    monkeypatch.setattr(verifier, "choose_parameters", lambda *a, **kw: dataclasses.replace(
+        choose(*a, **kw), z0=-0.5 + 0j, z0_normalized=-1 + 0j))
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +94,61 @@ class TestCertifyPair:
         direct = distance_exact(ModelDomain.slit_plane(), params.z0, q).value
         assert bound.value == pytest.approx(direct, rel=1e-12)
 
+    def test_point_without_lift_raises(self, quad_map):
+        # the positive real axis is the slit: no lift of 0.5 lies in the domain
+        fm, _ = quad_map
+        with pytest.raises(OutsideComparisonDomain):
+            certify_pair(choose_parameters(fm, 2.0), 0.5)
+
+
+def _lift_sample(dom, rng):
+    """(r, ang) with 0 <= ang <= 2pi: random points, the ends of the range,
+    points at and beside the boundary rays (the 1e-12 guard included), and
+    last the radii 0, nan, -1 (no lift inside) and inf (inside, at distance
+    inf)."""
+    near = np.array([0.0, 1e-15, 1e-13, 1e-12, 2e-12, 1e-9, 1e-6])
+    rays = np.array([dom.arg_low % (2 * np.pi), dom.arg_high % (2 * np.pi)])
+    edges = (rays[:, None] + np.r_[near, -near][None, :]).ravel()
+    ang = np.r_[rng.uniform(0.0, 2 * np.pi, 300), 0.0, 1e-15, np.nextafter(2 * np.pi, 0.0),
+                2 * np.pi, edges[(edges >= 0.0) & (edges <= 2 * np.pi)]]
+    r = np.exp(rng.uniform(-8.0, 1.0, ang.size))
+    return np.r_[r, 0.0, math.nan, -1.0, math.inf], np.r_[ang, 1.0, 1.0, 1.0, 1.0]
+
+
+class TestChartDistances:
+    @pytest.mark.parametrize("coefficients, tag", [
+        ([0, 1, 1, 1], "double_sector"),
+        ([0, 1, 0, 1, 1], "sector"),
+        (None, "double_sector"),  # more than one turn: lifts k = -1 .. 2
+    ])
+    def test_nearest_lift_reference(self, coefficients, tag):
+        if coefficients is None:
+            dom = ModelDomain.double_sector(-1.0, 14.0)
+        else:
+            dom = choose_parameters(analyze_parabolic(coefficients)[0], 2.0).comparison_domain
+        assert dom.tag == tag
+        p0 = LiftedPoint(0.2, 0.5)
+        r, ang = _lift_sample(dom, np.random.default_rng(5))
+        dist, inside = kobayashi.chart_distances(dom, p0, r, ang)
+
+        lifts = np.zeros(r.size, dtype=int)
+        turned = np.zeros(r.size, dtype=bool)  # some lift other than ang itself is inside
+        for i, (ri, ai) in enumerate(zip(r.tolist(), ang.tolist())):
+            ks = [k for k in range(-3, 4) if dom.contains_rtheta(ri, ai + 2 * math.pi * k)]
+            lifts[i], turned[i] = len(ks), any(ks)
+            if ks and math.isfinite(ri):
+                ref = min(distance_exact(dom, p0, LiftedPoint(ri, ai + 2 * math.pi * k)).value
+                          for k in ks)
+                assert dist[i] == pytest.approx(ref, rel=1e-12)
+        assert np.array_equal(inside, lifts > 0)
+        assert np.all(np.isinf(dist[~inside]))
+        assert inside[-4:].tolist() == [False, False, False, True] and dist[-1] == math.inf
+        assert turned.any()
+        if dom.width > 2 * math.pi:
+            assert np.any(lifts >= 2)
+        else:
+            assert np.any((lifts == 0) & (r > 0.0))
+
 
 class TestVerifyTheorem:
     def test_single_pair_run(self, quad_map):
@@ -105,9 +167,10 @@ class TestVerifyTheorem:
         # no enumerated point with nonzero imaginary part inside the inner wedge
         assert small_cert.interior_offaxis_points == 0
 
-    def test_override_detector(self, quad_map):
+    def test_override_detector(self, quad_map, monkeypatch):
         fm, _ = quad_map
-        cert = verify_theorem(fm, 2.0, -0.5, 2, 1, 0, z0_override=-0.5)
+        _bad_z0(monkeypatch)
+        cert = verify_theorem(fm, 2.0, -0.5, 2, 1, 0)
         assert cert.global_min == pytest.approx(0.0, abs=1e-12)
         assert not cert.passed
         assert cert.cross_checks["horizontal"] is None  # Re z0_normalized = -1
@@ -210,8 +273,9 @@ class TestClosure:
         rep = corollary_d_closure(fm, small_cert, 0)
         assert rep.n_preimages == 0 and rep.residual_failures == 0
 
-    def test_failed_cert_precondition(self, quad_map):
+    def test_failed_cert_precondition(self, quad_map, monkeypatch):
         fm, _ = quad_map
-        bad = verify_theorem(fm, 2.0, -0.5, 2, 1, 0, z0_override=-0.5)
+        _bad_z0(monkeypatch)
+        bad = verify_theorem(fm, 2.0, -0.5, 2, 1, 0)
         rep = corollary_d_closure(fm, bad, 2)
         assert rep.status == "precondition_failed"
