@@ -86,6 +86,29 @@ def estimate_remainder(fm: ParabolicMap, rho: float) -> float:
     return 2.0 * sup if math.isfinite(sup) else math.inf
 
 
+def remainder_radius(fm: ParabolicMap, target: float) -> float:
+    """A chart radius rho with estimate_remainder(fm, rho) < target.
+
+    Doubles rho from 2 until the estimate passes, then bisects geometrically
+    between the last failing and the first passing radius for 60 rounds and
+    returns the passing end, so the result lies just above the threshold.
+    """
+    hi = 2.0
+    while estimate_remainder(fm, hi) >= target:
+        hi *= 2.0
+        if hi > 2.0 ** 60:
+            raise NoConvergence(f"remainder never fell below {target:.6g}")
+    lo = hi / 2.0
+    if estimate_remainder(fm, lo) >= target:
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            if estimate_remainder(fm, mid) < target:
+                hi = mid
+            else:
+                lo = mid
+    return hi
+
+
 @dataclass(frozen=True)
 class PacManDomain:
     """Truncated disk with an angular gap around the sector boundary rays.
@@ -179,23 +202,7 @@ def construct_pacman(fm: ParabolicMap, theta0: float) -> PacManConstruction:
     gap = m * theta0
     if gap >= math.pi / 2.0:
         raise DegenerateAngle("m*theta0 must stay below pi/2")
-    target = theta0 / 3.0
-
-    hi = 2.0
-    while estimate_remainder(fm, hi) >= target:
-        hi *= 2.0
-        if hi > 2.0 ** 60:
-            raise NoConvergence("remainder never fell below theta0/3")
-    lo = hi / 2.0
-    if estimate_remainder(fm, lo) >= target:
-        # Geometric bisection toward the threshold radius; keep the passing end.
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)
-            if estimate_remainder(fm, mid) < target:
-                hi = mid
-            else:
-                lo = mid
-    rho0 = hi
+    rho0 = remainder_radius(fm, theta0 / 3.0)
     bound = estimate_remainder(fm, rho0)
 
     s = math.sin(gap / 2.0)
@@ -289,10 +296,30 @@ def membership_petal(fm: ParabolicMap) -> PacManConstruction:
     """Certified absorbing petal used for basin membership classification,
     built once per map.
 
-    The classifiers' entry gate is |w| >= rho2 inside the chart-plane sector
-    with gap `gap_omega`, which is exactly absorption into the certified inner
-    pacman. The gap is wide (0.5, scaled down for larger m) so the entry
-    radius stays small and orbits resolve in few steps; any certified gap
-    would do, since absorption characterizes the basin direction.
+    classify_batch's gate is the union of two absorbing sets of each chart
+    sheet: this petal's sector, |w| >= rho2 with |arg w| <= pi - gap_omega,
+    which is exactly absorption into the certified inner pacman, and the
+    half-plane Re w >= half_plane_radius(fm). The gap is wide (0.5, scaled
+    down for larger m) so the sector's entry radius stays small; any certified
+    gap would do, since absorption characterizes the basin direction. The
+    sector's soundness rests on estimate_remainder at rho0, as the
+    half-plane's rests on it at rho_h; ROADMAP item 2 makes both rigorous.
     """
     return construct_pacman(fm, min(0.5, 1.2 / fm.m))
+
+
+@functools.lru_cache(maxsize=64)
+def half_plane_radius(fm: ParabolicMap) -> float:
+    """rho_h, the radius beyond which estimate_remainder is below 1/2, built
+    once per map.
+
+    On |w| >= rho_h, |F(w) - w - 1| <= 1/2, so Re F(w) >= Re w + 1/2: the
+    half-plane Re w >= rho_h of every chart sheet is forward invariant, and
+    an orbit in it converges to the attracting direction of its sheet
+    (Milnor, Dynamics in One Complex Variable, section 10). It is far
+    shallower than the petal's rho2 (5.0 against 212 on z + z^2), so
+    classify_batch labels basin orbits after a few steps instead of a crawl
+    of about rho2 chart steps. Its soundness rests on estimate_remainder at
+    rho_h, as the petal's does at rho0.
+    """
+    return remainder_radius(fm, 0.5)

@@ -53,6 +53,16 @@ class TestOrbitAndPreimages:
         assert len(lines) == 5
         assert lines[1].startswith("0,-0.5,")
 
+    def test_orbit_classify_at_the_default_budget(self, tmp_path):
+        # -0.5 enters the half-plane Re w >= rho_h at step 2; the petal's
+        # sector alone took 206 steps, past the default --n 100
+        res = run_cli(["--out-dir", "o", "orbit", "--poly", "0,1,1", "--z0=-0.5",
+                       "--classify"], tmp_path)
+        assert res.returncode == 0
+        assert json.loads(res.stdout) == {"status": "converged", "direction": 0, "steps": 2}
+        lines = (tmp_path / "o" / "orbit.csv").read_text().strip().splitlines()
+        assert len(lines) == 4
+
     def test_preimages(self, tmp_path):
         res = run_cli(["--out-dir", "o", "preimages", "--poly", "0,1,1",
                        "--w", "-0.5"], tmp_path)

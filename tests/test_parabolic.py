@@ -106,11 +106,12 @@ class TestForwardOrbit:
 class TestEscapeRadius:
     def test_small_leading_coefficient(self):
         # z + 0.01 z^2 is z + z^2 rescaled by 100: its filled Julia set reaches
-        # |z| ~ 200, and -50 (the image of -1/2) lies in the basin
+        # |z| ~ 200, and -50 (the image of -1/2) lies in the basin; it enters
+        # the half-plane at step 2 (the petal's sector alone took 206)
         fm, _ = analyze_parabolic([0, 1, 0.01])
         assert fm.escape_radius == pytest.approx(300.0)
         labels, steps = classify_batch(fm, np.array([-50.0]), 2000)
-        assert labels[0] == 0 and steps[0] == 206
+        assert labels[0] == 0 and steps[0] == 2
         rec = classify_direction(fm, -50.0, 10 ** 4)
         assert rec.converged and rec.direction == 0
 
@@ -169,22 +170,36 @@ def _grid_points(window, resolution):
 
 
 class TestClassifyBatchKernel:
-    # sha256 of labels.tobytes() + steps.tobytes(), taken from the classifier
-    # that tested the gate in the chart w = -1/(m a z^m) with fresh arrays per
-    # step; the in-place z-plane kernel must reproduce them bit for bit. The
-    # prop3 grid (about 38 K points) spans two blocks of _BLOCK points.
-    @pytest.mark.parametrize("coefficients,window,resolution,n_max,digest", [
+    # sha256 of labels.tobytes() + steps.tobytes(). The first digest of each
+    # grid is the sector gate alone, taken from the classifier that tested it
+    # in the chart w = -1/(m a z^m) with fresh arrays per step; the kernel
+    # gives it with the half-plane moved to infinity. The second is the union
+    # gate, taken from _reference_classify, a plain loop with fresh arrays per
+    # step. The in-place kernel must reproduce both bit for bit, and the two
+    # gates the same labels. The prop3 grid (about 38 K points) spans two
+    # blocks of _BLOCK points.
+    @pytest.mark.parametrize("coefficients,window,resolution,n_max,sector_digest,digest", [
         ([0, 1, 1], Window(-0.25 + 0j, 1.5, 1.5), 128, 2000,
-         "63cfbb6e118ccce81e1105e0a4cf06c5961db9226d9bf544cac0b053f0c3a22f"),
+         "63cfbb6e118ccce81e1105e0a4cf06c5961db9226d9bf544cac0b053f0c3a22f",
+         "85ec14ed7496672521c0338241792d81449134dc4fd740aafd38e22401f026ca"),
         ([0, 1, 0, 1], Window(0j, 2.0, 2.0), 128, 4000,
-         "82ece98d2022ef04791873848bb23b9d16103685115e733f9c9d17d6fdd606fe"),
+         "82ece98d2022ef04791873848bb23b9d16103685115e733f9c9d17d6fdd606fe",
+         "6b01ee45437cb9593a5a35776d1f531687685dc51a417014a7d0bd8f6c97b9ca"),
         ([0, 1, 1, 1], _axis_sampling_window(0.3, 0.3, 256), 256, 10000,
-         "e87d6b036b9a69d14eb180143b31de72fafa36d460dc862278e9996596f1ca4a"),
+         "e87d6b036b9a69d14eb180143b31de72fafa36d460dc862278e9996596f1ca4a",
+         "8a0c3e1e245b0b85ded264ffd2c060dd49243a639b6a9d9405bd1d3a3aa438a8"),
     ])
-    def test_pinned_output(self, coefficients, window, resolution, n_max, digest):
+    def test_pinned_output(self, coefficients, window, resolution, n_max, sector_digest,
+                           digest, monkeypatch):
         fm, _ = analyze_parabolic(coefficients)
-        labels, steps = classify_batch(fm, _grid_points(window, resolution), n_max)
+        z = _grid_points(window, resolution)
+        labels, steps = classify_batch(fm, z, n_max)
         assert hashlib.sha256(labels.tobytes() + steps.tobytes()).hexdigest() == digest
+        monkeypatch.setattr(petals, "half_plane_radius", lambda fm: math.inf)
+        sector_labels, sector_steps = classify_batch(fm, z, n_max)
+        assert (hashlib.sha256(sector_labels.tobytes() + sector_steps.tobytes()).hexdigest()
+                == sector_digest)
+        assert labels.tobytes() == sector_labels.tobytes()
 
     @staticmethod
     def _mixed_starts(size):
@@ -243,7 +258,7 @@ class TestClassifyBatchKernel:
     def test_orbits_on_the_fixed_point_stop_at_once(self, quad_map):
         # 0 is the fixed point and f(-1) = 0; neither is ever judged, and
         # neither may keep the kernel iterating to n_max: the map counts the
-        # iterates it evaluates, and -0.5 alone needs 206 steps
+        # iterates it evaluates, and -0.5 alone needs 2 steps
         class CountingMap(ParabolicMap):
             def __call__(self, z, out=None):
                 iterates.append(np.size(z))
@@ -251,12 +266,13 @@ class TestClassifyBatchKernel:
 
         iterates = []
         fm = CountingMap(*dataclasses.astuple(quad_map[0]))
-        petals.membership_petal(fm)  # cached; its own evaluations are not the kernel's
+        petals.membership_petal(fm)  # cached; their own evaluations are not the kernel's
+        petals.half_plane_radius(fm)
         iterates.clear()
         labels, steps = classify_batch(fm, np.array([0, -1, -0.5]), 10 ** 6)
         assert labels.tolist() == [LABEL_UNDECIDED, LABEL_UNDECIDED, 0]
-        assert steps.tolist() == [10 ** 6, 10 ** 6, 206]
-        assert sum(iterates) <= 3 * (206 + _GROUP)
+        assert steps.tolist() == [10 ** 6, 10 ** 6, 2]
+        assert sum(iterates) <= 3 * (2 + _GROUP)
 
     def test_horner_into_buffer(self, perturbed_map):
         fm, _ = perturbed_map
@@ -266,17 +282,23 @@ class TestClassifyBatchKernel:
         assert np.array_equal(out.view(float), fm(z).view(float))
 
 
-def _reference_classify(fm, points, n_max):
+def _reference_classify(fm, points, n_max, half_plane=True):
     """classify_batch's labels and steps from a plain per-step loop over the
     whole batch: fresh arrays every step, no blocks, no compaction, no
     groups. Each step tests escape (from step 1 on), then the fixed point,
-    then the gate, in the same elementwise arithmetic as the kernel."""
+    then the gate, in the same elementwise arithmetic as the kernel. The gate
+    is the union of the petal's sector and the half-plane Re w >= rho_h;
+    half_plane=False keeps the sector alone, the gate before the half-plane."""
     gate = petals.membership_petal(fm)
     v_args = np.array(attraction_vectors(fm).attraction_args)
     m, ma = fm.m, fm.m * fm.a
     r_esc2 = fm.escape_radius ** 2
-    entry2 = (abs(ma) * gate.rho2) ** (-2.0 / m)
+    sector2 = (abs(ma) * gate.rho2) ** (-2.0 / m)
+    entry2 = sector2
     cos_lim = math.cos(gate.gap_omega) * abs(ma)
+    if half_plane:
+        rho_h = petals.half_plane_radius(fm)
+        entry2 = max(sector2, (abs(ma) * rho_h) ** (-2.0 / m))
     z = np.array(points, dtype=complex)
     labels = np.full(z.size, LABEL_UNDECIDED, dtype=np.int32)
     steps = np.full(z.size, n_max, dtype=np.int32)
@@ -291,7 +313,11 @@ def _reference_classify(fm, points, n_max):
                 labels[escaped], steps[escaped] = LABEL_ESCAPED, step
                 live &= ~escaped
             live &= ~(a2 == 0) if step else z != 0
-            inside = live & (a2 <= entry2) & ((z ** m * ma).real <= a2 ** (m / 2) * cos_lim)
+            u = z ** m * ma
+            gated = (a2 <= sector2) & (u.real <= a2 ** (m / 2) * cos_lim)
+            if half_plane:
+                gated |= u.real <= -rho_h * abs(ma) ** 2 * a2 ** m
+            inside = live & (a2 <= entry2) & gated
             if m == 1:
                 labels[inside] = 0
             else:
@@ -313,7 +339,7 @@ class TestClassifyBatchReference:
     SALT = np.array([0, -1, 1e-170, np.nan, np.inf, 1e300], dtype=complex)
 
     @pytest.mark.parametrize("coefficients", [
-        [0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0.5 + 0.5j, 0, 1]])
+        [0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0.5 + 0.5j, 0, 1], [0, 1, 0, 0, 1]])
     @pytest.mark.parametrize("size", [1, 3, 2049, _BLOCK + 5])
     @pytest.mark.parametrize("n_max", [100, 301])
     def test_matches_reference(self, coefficients, size, n_max):
@@ -342,6 +368,34 @@ class TestClassifyBatchReference:
         assert {LABEL_ESCAPED, 0} <= set(labels.tolist())
         assert np.array_equal(labels, ref_labels)
         assert np.array_equal(steps, ref_steps)
+
+
+class TestHalfPlaneGate:
+    # The union gate against the petal's sector alone, on the four maps whose
+    # crawl into the sector was measured (rho2 212, 63, 42 and 735), and
+    # z + z^4 (m = 3), each over two seeded random windows of 40 x 40 pixel
+    # centres salted with the fixed point, a preimage of it and non-finite
+    # starts. Both gates are certified absorbing sets of the same direction,
+    # so a decided label cannot change and can only come sooner.
+    @pytest.mark.parametrize("coefficients,n_max", [
+        ([0, 1, 1], 2000), ([0, 1, 1, 1], 6000), ([0, 1, 0, 1], 4000),
+        ([0, 1, -0.3 + 0.2j, 0.5], 6000), ([0, 1, 0, 0, 1], 4000)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_labels_of_the_old_gate(self, coefficients, n_max, seed):
+        fm, _ = analyze_parabolic(coefficients)
+        rng = np.random.default_rng([seed, len(coefficients), n_max])
+        width = rng.uniform(0.2, 2.0)
+        center = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
+        z = _grid_points(Window(center, width, width), 40)
+        salted = rng.choice(z.size, len(TestClassifyBatchReference.SALT), replace=False)
+        z[salted] = TestClassifyBatchReference.SALT
+        labels, steps = classify_batch(fm, z, n_max)
+        old_labels, old_steps = _reference_classify(fm, z, n_max, half_plane=False)
+        decided = old_labels != LABEL_UNDECIDED
+        assert np.count_nonzero(old_labels >= 0) > 100
+        assert np.array_equal(labels[decided], old_labels[decided])
+        assert np.all(steps <= old_steps)
+        assert np.sum(steps[old_labels >= 0]) < np.sum(old_steps[old_labels >= 0])
 
 
 class TestTail:

@@ -1,5 +1,7 @@
 import cmath
 import dataclasses
+import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from basinlab import (FatouChartValue, PacManDomain, analyze_parabolic,
                       estimate_remainder, fatou_chart, fatou_chart_inverse)
 from basinlab import petals
 from basinlab.errors import DegenerateAngle, OriginInput
+from basinlab.kobayashi import wrap_angle
 from basinlab.petals import conjugated_map
 from basinlab.verifier import choose_parameters
 
@@ -227,3 +230,64 @@ class TestInvariance:
             assert abs(wn - w0 - 1000) <= 1000 * theta0 / 3.0
             if (w0 + 1000).real >= 0:
                 assert abs(wn) >= abs(w0 + 1000 - 1000 * theta0 / 3.0)
+
+
+class TestOneBisection:
+    # rho0 and rho2 in full, and a sha256 prefix of repr(dataclasses.astuple(pm))
+    # over every field, taken before construct_pacman's bisection moved into
+    # remainder_radius: the membership petals (theta0 0.5) and theta0 0.1
+    @pytest.mark.parametrize("coeffs,theta0,rho0,rho2,digest", [
+        ([0, 1, 1], 0.5, 12.999673724007925, 212.38271156052872, "a2da54417e55a678"),
+        ([0, 1, 1], 0.1, 60.99969379973151, 24420.220921810596, "0338df5c12d08219"),
+        ([0, 1, 0, 1], 0.5, 9.662842839057578, 42.03998828972101, "5978e07a54487441"),
+        ([0, 1, 0, 1], 0.1, 45.665242005134466, 4581.776439733909, "a93e2edc379b8765"),
+        ([0, 1, 1, 1], 0.5, 3.854095621578974, 62.96644793575167, "054e372e53814417"),
+        ([0, 1, 1, 1], 0.1, 8.197307507824469, 3281.6568057259865, "cc8cd0d1d1ee2d77")])
+    def test_construction_is_bit_identical(self, coeffs, theta0, rho0, rho2, digest):
+        fm, _ = analyze_parabolic(coeffs)
+        pm = construct_pacman(fm, theta0)
+        assert (pm.rho0, pm.rho2) == (rho0, rho2)
+        assert hashlib.sha256(repr(dataclasses.astuple(pm)).encode()).hexdigest()[:16] == digest
+
+    def test_one_loop_for_both_radii(self, quad_map):
+        fm, _ = quad_map
+        assert petals.membership_petal(fm).rho0 == petals.remainder_radius(fm, 0.5 / 3.0)
+        assert petals.half_plane_radius(fm) == petals.remainder_radius(fm, 0.5)
+        assert inspect.getsource(petals).count("math.sqrt(lo * hi)") == 1
+
+    @pytest.mark.parametrize("coeffs,rho_h", [
+        ([0, 1, 1], 5.00), ([0, 1, 0, 1], 3.66), ([0, 1, 1, 1], 2.37)])
+    def test_half_plane_radius(self, coeffs, rho_h):
+        # the threshold radius of estimate_remainder < 1/2, from above
+        fm, _ = analyze_parabolic(coeffs)
+        radius = petals.half_plane_radius(fm)
+        assert radius == pytest.approx(rho_h, abs=0.005)
+        assert estimate_remainder(fm, radius) < 0.5 <= estimate_remainder(fm, radius * (1 - 1e-9))
+
+
+@pytest.mark.parametrize("coeffs", [[0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0, 0, 1]])
+def test_half_plane_is_absorbing(coeffs):
+    # starts just inside Re w = rho_h on every sheet: Re w grows by at least
+    # 1/2 a step for 500 steps, and the nearest attracting direction of the
+    # orbit stays that of its sheet
+    fm, vs = analyze_parabolic(coeffs)
+    rho_h = petals.half_plane_radius(fm)
+    args = np.array(vs.attraction_args)
+
+    def direction(z):
+        return int(np.argmin(np.abs(wrap_angle(cmath.phase(z) - args))))
+
+    seen = set()
+    for sheet in range(fm.m):
+        for im in (0.0, 1.0, -1.0, rho_h, -rho_h, 10 * rho_h, -10 * rho_h, 1e3, -1e3):
+            w = complex(rho_h * (1 + 1e-9), im)
+            z = fatou_chart_inverse(fm, FatouChartValue(w, sheet))
+            j = direction(z)
+            seen.add(j)
+            for _ in range(500):
+                z = fm(z)
+                w_next = fatou_chart(fm, z).omega
+                assert w_next.real >= w.real + 0.5
+                assert direction(z) == j
+                w = w_next
+    assert seen == set(range(fm.m))

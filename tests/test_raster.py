@@ -169,6 +169,34 @@ class TestWedgeOnly:
         assert calls[0].tobytes() == grid[wedge].tobytes()
         assert calls[0].size < 0.55 * grid.size
 
+    @staticmethod
+    def _full_box_wedge(xs, ys, R, theta0):
+        x = np.broadcast_to(xs[None, :], (ys.size, xs.size))
+        y = np.broadcast_to(ys[:, None], (ys.size, xs.size))
+        r = np.hypot(x, y)
+        return (r < R) & (np.abs(np.arctan2(y, x)) < theta0) & (r > 0)
+
+    @pytest.mark.parametrize("resolution", [1, 255, 256, 1024])
+    @pytest.mark.parametrize("theta0", [0.1, 0.3, 1.0])
+    def test_wedge_mask_is_the_full_box_construction(self, resolution, theta0):
+        window = _axis_sampling_window(0.3, theta0, resolution)
+        xs, ys = raster._pixel_centers(window, *raster._grid_shape(window, resolution))
+        wedge = raster._wedge_mask(xs, ys, 0.3, theta0)
+        assert wedge.tobytes() == self._full_box_wedge(xs, ys, 0.3, theta0).tobytes()
+
+    def test_wedge_mask_on_the_circle_and_at_the_origin(self):
+        # a grid through 0 with pixels on |z| = R and next to it, where the
+        # squared radius cannot decide and hypot runs: the last three pixels
+        # of the diagonal have (x/R)^2 + (y/R)^2 < 1 but hypot(x, y) == R
+        xs = np.concatenate([np.arange(-30, 31) * 0.01, [0.3 - 1e-17, 0.3 + 1e-16],
+                             [0.2971906201998167, 0.29208532451738656, 0.27480568303747765]])
+        ys = np.concatenate([np.arange(-30, 31)[::-1] * 0.01,
+                             [0.04096016681177328, -0.0684555563966357, 0.12034050261780256]])
+        for theta0 in (0.1, 0.3, 1.0, 1.5):
+            wedge = raster._wedge_mask(xs, ys, 0.3, theta0)
+            assert wedge.tobytes() == self._full_box_wedge(xs, ys, 0.3, theta0).tobytes()
+            assert not wedge[30, 30]  # the origin
+
 
 class TestAxisSamplingWindow:
     @staticmethod
