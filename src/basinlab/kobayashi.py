@@ -11,10 +11,12 @@ argument. The power chart written in log coordinates,
 is a biholomorphism onto the upper half-plane for any opening h, immune to
 branch-cut issues. Distances come from the closed form
 
-    d = 2 asinh( sqrt( (cosh(u1-u2) - cos(v1-v2)) / (2 sin v1 sin v2) ) ),
+    d = 2 asinh( sqrt( (sinh^2((u1-u2)/2) + sin^2((v1-v2)/2)) / (sin v1 sin v2) ) ),
 
 which is the half-plane geodesic distance with the overall exp factor
-cancelled, so it never overflows for desk-scale inputs.
+cancelled, so it never overflows for desk-scale inputs. The numerator is
+cosh(u1-u2) - cos(v1-v2) halved, written as a sum of two squares so that
+nearby points do not cancel to a spurious 0.
 """
 
 from __future__ import annotations
@@ -29,8 +31,38 @@ from .errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
                      OutsideDomain, PathExitsDomain, SmallRealPart)
 
 _ANG_GUARD = 1e-12  # relative boundary-proximity guard on the argument
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PATH_RTOL, _PATH_ATOL = 1e-11, 1e-12  # agreement of successive quadrature totals
+# The Gauss-Kronrod pair G7/K15 of QUADPACK's qk15 on [-1, 1]: the 15 Kronrod
+# nodes, the K15 weights, and the G7 weights, zero on the 8 Kronrod-only nodes.
+_GK15_NODES = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+    -0.207784955007898467600689403773245, -0.405845151377397166906606412076961,
+    -0.586087235467691130294144838258730, -0.741531185599394439863864773280788,
+    -0.864864423359769072789712788640926, -0.949107912342758524526189684047851,
+    -0.991455371120812639206854697526329)
+_K15_WEIGHTS = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970)
+_G7_WEIGHTS = (
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.129484966168869693270611432679082, 0.0)
+# Bound on the summed |K15 - G7| of a polyline. On the 64 metric-paths
+# polylines every polyline meets it at depth 0, with the lengths within 4e-16
+# relative of a 16-point Gauss-Legendre rule refined to depth 1.
+_PATH_RTOL, _PATH_ATOL = 1e-11, 1e-12
 _PATH_MAX_DEPTH = 12  # at most 2**12 subintervals per segment
 
 
@@ -190,8 +222,8 @@ class DistanceBound:
 
 def dist_uv_arrays(u1, v1, u2, v2):
     """Half-plane distance between chart log-coordinates, scalar or array."""
-    x = (np.cosh(u1 - u2) - np.cos(v1 - v2)) / (2.0 * np.sin(v1) * np.sin(v2))
-    return 2.0 * np.arcsinh(np.sqrt(x))
+    x = np.sinh((u1 - u2) / 2.0) ** 2 + np.sin((v1 - v2) / 2.0) ** 2
+    return 2.0 * np.arcsinh(np.sqrt(x / (np.sin(v1) * np.sin(v2))))
 
 
 def _dist_uv(u1: float, v1: float, u2: float, v2: float) -> float:
@@ -283,11 +315,11 @@ def _chord_rtheta(domain: ModelDomain, za, zb, tha, t: np.ndarray,
 
 
 # Quadrature nodes per block (fewer when one segment has more nodes). On the
-# 64 metric-paths polylines (Xeon, 2 MB L2 per core) a pass takes 0.38-0.52 s
-# at 4 K or 8 K nodes with no page faults; at 16 K, 0.42-0.48 s with 7-9 K
-# minor faults, as the 256 KB complex buffer passes glibc's 128 KB mmap
-# threshold and is mapped afresh at every depth; whole depths at once take
-# 0.47-0.58 s with 50-57 K faults.
+# 64 metric-paths polylines (Xeon, 2 MB L2 per core; median of 9 passes) a
+# pass takes 0.127 s at 4 K nodes and 0.119 s at 8 K; at 16 K, 0.120 s, with
+# 4-7 K minor faults on the first pass, as the 256 KB complex buffer passes
+# glibc's 128 KB mmap threshold until the threshold adapts; whole depths at
+# once take 0.148 s with 13-18 K faults on every pass.
 _NODE_BLOCK = 1 << 13
 
 
@@ -298,13 +330,19 @@ def path_length(domain: ModelDomain, vertices) -> float:
     monotonically through angle(zb * conj(za)), which lies in (-pi, pi). So a
     segment lies in the domain exactly when both vertices do (with the
     boundary guard), zb * conj(za) is not a non-positive real, and the start
-    lift plus that turn lands on the end lift within 1e-6. Segments are
-    integrated with composite 16-point Gauss-Legendre quadrature, all
-    together, until two successive subdivision levels agree on the total;
-    the nodes are evaluated over blocks of about _NODE_BLOCK and every node
-    is checked to lie in the domain. The block size does not change a bit of
-    the result: rows are independent, and the densities of all segments meet
-    in one product with the weights.
+    lift plus that turn lands on the end lift within 1e-6.
+
+    Segments are integrated all together with the composite Gauss-Kronrod
+    pair G7/K15 over 2**depth equal pieces, from depth 0 up. At each depth
+    the 15 densities per piece give the K15 and the embedded G7 integral of
+    every segment; the K15 total is returned once the summed |K15 - G7| over
+    all segments, each times its chord length, is at most max(_PATH_ATOL,
+    _PATH_RTOL * |total|). That sum of absolute differences cannot cancel
+    across segments. Past _PATH_MAX_DEPTH the last total is returned
+    unconverged. The nodes are evaluated over blocks of about _NODE_BLOCK
+    and every node is checked to lie in the domain. The block size does not
+    change a bit of the result: rows are independent, and the densities of
+    all segments meet in one product with the weights.
     """
     if len(vertices) < 2:
         raise ValueError("polyline needs at least two vertices")
@@ -320,14 +358,15 @@ def path_length(domain: ModelDomain, vertices) -> float:
     chord = np.abs(zb - za)
     n_seg = za.size
 
-    prev = None
+    nodes = np.array(_GK15_NODES)
+    kg = np.array((_K15_WEIGHTS, _G7_WEIGHTS)).T
     for depth in range(_PATH_MAX_DEPTH + 1):
         pieces = 2 ** depth
         edges = np.linspace(0.0, 1.0, pieces + 1)
         mid = (edges[:-1, None] + edges[1:, None]) / 2.0
         half = (edges[1:, None] - edges[:-1, None]) / 2.0
-        t = (mid + half * _GL_NODES[None, :]).ravel()
-        wts = (half * _GL_WEIGHTS[None, :]).ravel()
+        t = (mid + half * nodes[None, :]).ravel()
+        wts = (half[:, :, None] * kg).reshape(-1, 2)
         rows = min(n_seg, max(1, _NODE_BLOCK // t.size))
         z = np.empty((rows, t.size), dtype=complex)
         r, theta = np.empty((rows, t.size)), np.empty((rows, t.size))
@@ -345,11 +384,12 @@ def path_length(domain: ModelDomain, vertices) -> float:
                     and domain.contains_rtheta(r_min, thk.max())):
                 raise PathExitsDomain("quadrature node left the domain")
             _density_into(domain, rk, thk, dens[blk])
-        total = float(np.sum(chord * (dens @ wts)))
-        if prev is not None and abs(total - prev) <= max(_PATH_ATOL, _PATH_RTOL * abs(total)):
+        kq, gq = (dens @ wts).T
+        total = float(np.sum(chord * kq))
+        err = float(np.sum(chord * np.abs(kq - gq)))
+        if err <= max(_PATH_ATOL, _PATH_RTOL * abs(total)):
             return total
-        prev = total
-    return prev
+    return total
 
 
 def _geodesic_w(domain: ModelDomain, p1, p2, n: int) -> np.ndarray:
@@ -413,7 +453,10 @@ def kappa_infimum(m: int, theta_range: tuple[float, float]) -> tuple[float, floa
     (0, pi) increases and c2 decreases. So each infimum is the smaller of the
     two values at the ends of the range, which is clamped to [1e-9,
     cap - 1e-12] away from the removable singularity at 0 and the pole at
-    the cap.
+    the cap. The end values are evaluated in double precision, so each
+    infimum is returned one ulp toward 0: rounded to nearest, m = 1 on
+    (0, 1e-6) reads one ulp above cos(5e-7). This absorbs a one-ulp error; it
+    is not an interval enclosure.
     """
     lo, hi = theta_range
     cap = min(math.pi, math.tau / m)
@@ -424,7 +467,7 @@ def kappa_infimum(m: int, theta_range: tuple[float, float]) -> tuple[float, floa
     kappa = float(np.min(m * np.sin(ends) / (2.0 * np.sin(m * ends / 2.0))))
     c1 = float(np.min((m * ends / 2.0) / np.sin(m * ends / 2.0)))
     c2 = float(np.min(np.sin(ends) / ends))
-    return kappa, c1, c2
+    return math.nextafter(kappa, 0.0), math.nextafter(c1, 0.0), math.nextafter(c2, 0.0)
 
 
 def bound_case2(z0_tilde: complex, z1_tilde: complex, m: int,

@@ -261,15 +261,25 @@ def test_enumerate_q_writes_the_certified_q(tmp_path, capsys):
     assert points == provenance(tmp_path / "v" / "bounds.csv")
 
 
-def test_import_loads_neither_optimize_nor_stats():
-    # nor any other scipy module: each scipy use is imported where it is used;
-    # and no concurrent.futures, since nothing in the package runs threads
-    code = ("import sys, basinlab; "
-            "print([m for m in sys.modules if m.startswith(('scipy', 'concurrent'))])")
+def _modules_loaded_by_import(prefixes):
+    """Names starting with one of prefixes in sys.modules after a fresh
+    interpreter runs `import basinlab`."""
+    code = f"import sys, basinlab; print([m for m in sys.modules if m.startswith({prefixes!r})])"
     path = os.pathsep.join(filter(None, [_PKG_PARENT, os.environ.get("PYTHONPATH")]))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_import_loads_neither_optimize_nor_stats():
+    # nor any other scipy module: each scipy use is imported where it is used;
+    # and no concurrent.futures, since nothing in the package runs threads
+    assert _modules_loaded_by_import(("scipy", "concurrent")) == "[]"
+
+
+def test_import_loads_no_polynomial_scipy_or_mpmath():
+    # the quadrature rule is a literal table, so numpy.polynomial stays unloaded
+    assert _modules_loaded_by_import(("numpy.polynomial", "scipy", "mpmath")) == "[]"
 
 
 def test_package_reads_no_environment():
@@ -292,23 +302,26 @@ def test_angle_geometry_has_one_owner():
     assert len(hits) == 1  # the body of wrap_angle
 
 
-# sha256 prefixes of the files each command writes, taken before the
-# certificate's distance pass moved into kobayashi.chart_distances. A change to
-# one changes a certificate or a distance, and must be deliberate and stated.
+# sha256 prefixes of the files each command writes, first taken before the
+# certificate's distance pass moved into kobayashi.chart_distances. Re-taken
+# when path_length moved to the G7/K15 rule (distance --path), when the chart
+# distance became a sum of two squares (bounds.csv) and when kappa_infimum began
+# to round down (the case2 constants in certificate.json). A change to one
+# changes a certificate or a distance, and must be deliberate and stated.
 _PINNED = {
     "verify-cubic": (["verify", "--poly", "0,1,0,1", "--C", "2", "--q", "0,0.3",
                       "--kmax", "15", "--lmax", "8", "--dump-bounds"],
-                     {"certificate.json": "067fe316a9f7c49a", "bounds.csv": "7828723c502dee48"}),
+                     {"certificate.json": "672d47bb1ea780e0", "bounds.csv": "b842f230306dc33e"}),
     "closure-quad": (["closure", "--poly", "0,1,1", "--C", "2", "--q", "-0.5",
                       "--kmax", "20", "--lmax", "10", "--depth", "3"],
-                     {"certificate.json": "29823257ac616828", "closure.json": "3d6ce7fcb1e716f8"}),
+                     {"certificate.json": "6ee50b7d93058c13", "closure.json": "3d6ce7fcb1e716f8"}),
     "verify-double-sector": (["verify", "--poly", "0,1,1,1", "--C", "2", "--q=-0.2",
                               "--kmax", "12", "--lmax", "6", "--dump-bounds"],
-                             {"certificate.json": "08d57f878ceadf2a",
-                              "bounds.csv": "77eab4dbc8268a59"}),
+                             {"certificate.json": "486b2ce4b21f6b01",
+                              "bounds.csv": "5772ea51fc31bc31"}),
     "distance-slit-path": (["distance", "--domain", "slit", "--z1=-0.5,0.5", "--z2=-0.5,-0.5",
                             "--path=-0.5,0.5;-1,0.2;-1,-0.2;-0.5,-0.5"],
-                           {"distance.json": "bbd7e567036d7a57"}),
+                           {"distance.json": "33c0d159bd409507"}),
     "distance-sector": (["distance", "--domain", "sector", "--lo=-0.3", "--hi=2.9",
                          "--z1", "0.5,0.5", "--z2=-0.5,0.8"],
                         {"distance.json": "b20c75191e11fbf1"}),

@@ -59,23 +59,24 @@ def _sampled_path_length(domain, vertices):
 
     chord = np.abs(zb - za)
     h, lo = domain.width, domain.arg_low
-    prev = None
+    nodes = np.array(kobayashi._GK15_NODES)
+    kg = np.array((kobayashi._K15_WEIGHTS, kobayashi._G7_WEIGHTS)).T
     for depth in range(kobayashi._PATH_MAX_DEPTH + 1):
         edges = np.linspace(0.0, 1.0, 2 ** depth + 1)
         mid = (edges[:-1, None] + edges[1:, None]) / 2.0
         half = (edges[1:, None] - edges[:-1, None]) / 2.0
-        t = (mid + half * kobayashi._GL_NODES[None, :]).ravel()
-        wts = (half * kobayashi._GL_WEIGHTS[None, :]).ravel()
+        t = (mid + half * nodes[None, :]).ravel()
+        wts = (half[:, :, None] * kg).reshape(-1, 2)
         r, theta = chord_rtheta(t)
         if not np.all(domain.contains_rtheta(r, theta)):
             raise PathExitsDomain("quadrature node left the domain")
         dens = (math.pi / h) / (r * np.sin(math.pi * (theta - lo) / h))
-        total = float(np.sum(chord * (dens @ wts)))
-        if prev is not None and abs(total - prev) <= max(
-                kobayashi._PATH_ATOL, kobayashi._PATH_RTOL * abs(total)):
+        kq, gq = (dens @ wts).T
+        total = float(np.sum(chord * kq))
+        err = float(np.sum(chord * np.abs(kq - gq)))
+        if err <= max(kobayashi._PATH_ATOL, kobayashi._PATH_RTOL * abs(total)):
             return total
-        prev = total
-    return prev
+    return total
 
 
 def bent_polylines(n, seed):
@@ -157,6 +158,19 @@ class TestDistance:
             with pytest.raises(NumericOverflow):
                 distance_exact(H, complex(1e-150, 1e-160), complex(1e150, 1e140))
 
+    @pytest.mark.parametrize("sep", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])
+    def test_nearby_points_do_not_cancel(self, sep, direction):
+        mpmath = pytest.importorskip("mpmath")
+        u1, v1 = 0.3 + sep * direction[0], 1.1 + sep * direction[1]
+        got = float(kobayashi.dist_uv_arrays(u1, v1, 0.3, 1.1))
+        with mpmath.workdps(50):
+            a, b, c, d = map(mpmath.mpf, (u1, v1, 0.3, 1.1))
+            x = (mpmath.cosh(a - c) - mpmath.cos(b - d)) / (2 * mpmath.sin(b) * mpmath.sin(d))
+            want = 2 * mpmath.asinh(mpmath.sqrt(x))
+            assert got > 0.0
+            assert abs((got - want) / want) <= 1e-15
+
     def test_symmetry(self):
         for z1, z2 in random_slit_pairs(50, seed=2):
             d12 = distance_exact(SLIT, z1, z2).value
@@ -214,6 +228,31 @@ class TestDistance:
                 d0 = distance_exact(H, w1, w2).value
                 d1 = distance_exact(H, m1, m2).value
                 assert abs(d0 - d1) < 1e-12
+
+
+class TestGaussKronrodRule:
+    NODES = np.array(kobayashi._GK15_NODES)
+    K15 = np.array(kobayashi._K15_WEIGHTS)
+    G7 = np.array(kobayashi._G7_WEIGHTS)
+
+    def test_nodes_are_antisymmetric(self):
+        assert self.NODES.size == self.K15.size == self.G7.size == 15
+        assert np.array_equal(self.NODES, -self.NODES[::-1])
+
+    @pytest.mark.parametrize("name", ["K15", "G7"])
+    def test_weights_sum_to_two(self, name):
+        assert abs(math.fsum(getattr(self, name)) - 2.0) <= 1e-15
+
+    @pytest.mark.parametrize("name, degree", [("K15", 22), ("G7", 13)])
+    def test_monomials_are_integrated_exactly(self, name, degree):
+        w = getattr(self, name)
+        for k in range(degree + 1):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(math.fsum(w * self.NODES ** k) - exact) <= 1e-15, k
+
+    def test_g7_is_zero_on_the_kronrod_only_nodes(self):
+        assert np.all(self.G7[0::2] == 0.0)
+        assert np.all(self.G7[1::2] > 0.0)
 
 
 class TestPathLength:
@@ -275,6 +314,20 @@ class TestPathLength:
         got = [path_length(SLIT, slit_poly), path_length(wide, lifted)]
         assert [g.hex() for g in got] == [w.hex() for w in want]
         assert want[0] == pytest.approx(distance_exact(SLIT, z1, z2).value, abs=1e-6)
+
+    def test_fifteen_density_evaluations_per_segment(self, monkeypatch):
+        # the 6000-segment polyline converges at depth 0: one K15 pass, no more
+        poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 6000)
+        seen = []
+        density_into = kobayashi._density_into
+
+        def counting(domain, r, theta, out):
+            seen.append(out.size)
+            return density_into(domain, r, theta, out)
+
+        monkeypatch.setattr(kobayashi, "_density_into", counting)
+        path_length(SLIT, poly)
+        assert sum(seen) == 15 * 6000
 
     def test_working_memory_is_bounded(self):
         poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 5999)
@@ -386,10 +439,18 @@ class TestBounds:
         lo, hi = frac[0] * cap, frac[1] * cap
         grid = np.linspace(max(lo, 1e-9), min(hi, cap - 1e-12), 100001)
         kappa, c1, c2 = kappa_infimum(m, (lo, hi))
-        assert kappa == np.min(m * np.sin(grid) / (2.0 * np.sin(m * grid / 2.0)))
-        assert c1 == np.min((m * grid / 2.0) / np.sin(m * grid / 2.0))
-        assert c2 == np.min(np.sin(grid) / grid)
+        # each infimum is the grid minimum stepped one ulp toward 0
+        assert kappa == np.nextafter(np.min(m * np.sin(grid) / (2.0 * np.sin(m * grid / 2.0))), 0)
+        assert c1 == np.nextafter(np.min((m * grid / 2.0) / np.sin(m * grid / 2.0)), 0)
+        assert c2 == np.nextafter(np.min(np.sin(grid) / grid), 0)
         assert c1 * c2 <= kappa
+
+    def test_kappa_is_below_the_exact_infimum_near_zero(self):
+        # m = 1: g = cos(theta/2), so the infimum over (0, 1e-6) is cos(5e-7)
+        mpmath = pytest.importorskip("mpmath")
+        kappa, _, _ = kappa_infimum(1, (0.0, 1e-6))
+        with mpmath.workdps(50):
+            assert mpmath.mpf(kappa) <= mpmath.cos(mpmath.mpf(1e-6) / 2)
 
     def test_case2_value(self):
         z0 = cmath.exp(1j * math.asin(1e-3))
