@@ -499,20 +499,17 @@ def kobayashi_disk_clearance(domain: ModelDomain, center, C: float) -> float:
     """Largest angle t such that the rays at arguments in (arg_low, arg_low + t)
     miss the closed hyperbolic disk of radius C about center.
 
-    The minimal distance from the center to the ray at angle psi has the
-    closed form 2 asinh(sqrt((1 - cos(vc - v)) / (2 sin vc sin v))) in chart
-    angles, infinite on the boundary ray and monotone toward the center, so
-    bisection on the wedge's near edge settles the angle.
+    The minimal distance from the center to the ray at chart angle v is the
+    chart distance to the point of that ray at the center's radius,
+    dist_uv_arrays(0, vc, 0, v): infinite on the boundary ray and monotone
+    toward the center, so bisection on the wedge's near edge settles the
+    angle. The result is rounded to nearest, not an enclosure.
     """
     _, v_c = chart_uv(domain, center)
     scale = math.pi / domain.width
 
     def d_min(v):
-        s = math.sin(v)
-        if s <= 0.0:
-            return math.inf
-        x = (1.0 - math.cos(v_c - v)) / (2.0 * math.sin(v_c) * s)
-        return 2.0 * math.asinh(math.sqrt(max(x, 0.0)))
+        return dist_uv_arrays(0.0, v_c, 0.0, v) if math.sin(v) > 0.0 else math.inf
 
     lo, hi = 0.0, 1.0  # fractions of the chart angle v_c of the center
     for _ in range(100):

@@ -388,41 +388,6 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
 # Simultaneous polynomial root finding (Aberth iteration)
 # ---------------------------------------------------------------------------
 
-def _ordered_sum(terms, last=0j):
-    """terms[0] + ... + terms[n - 1] + last, rounded exactly as np.sum rounds
-    a contiguous complex axis: np.sum(x, axis=-1) is
-    _ordered_sum(np.moveaxis(x, -1, 0).copy()). The sum accumulates in place,
-    in terms[0], terms[4] and so on.
-
-    numpy adds its identity 0 after a pairwise sum: below 4 terms in sequence;
-    up to 64 in four lanes (term j in lane j % 4), combined as
-    (l0 + l1) + (l2 + l3), then the remainder in sequence; above 64 the two
-    halves split at (n - n % 8) // 2, each summed the same way (last=None
-    adds nothing).
-    """
-    n = len(terms)
-    if n > 64:
-        half = (n - n % 8) // 2
-        acc = _ordered_sum(terms[:half], None)
-        acc += _ordered_sum(terms[half:], None)
-        rest = ()
-    elif n < 4:
-        acc, rest = terms[0], terms[1:]
-    else:
-        lanes = terms[:4]
-        for j in range(4, n - n % 4, 4):
-            lanes += terms[j:j + 4]
-        lanes[0] += lanes[1]
-        lanes[2] += lanes[3]
-        acc, rest = lanes[0], terms[n - n % 4:]
-        acc += lanes[2]
-    for t in rest:
-        acc += t
-    if last is not None:
-        acc += last
-    return acc
-
-
 def _aberth(fm: ParabolicMap, z: np.ndarray, ws: np.ndarray, target: np.ndarray,
             radius: np.ndarray) -> np.ndarray:
     """Iterate the rows of z (rows, deg) in place until max |f(z) - ws| is at
@@ -436,10 +401,8 @@ def _aberth(fm: ParabolicMap, z: np.ndarray, ws: np.ndarray, target: np.ndarray,
     converged row is written back once; a row whose residual is nan leaves
     too, for the caller's check. Each pair i < j takes one reciprocal
     t = 1/(z_i - z_j), and root j uses -t, which is the quotient numpy's
-    division gives for z_j - z_i = -(z_i - z_j). Each Aberth sum then adds
-    its deg terms, 1 at j = i, in np.sum's order (_ordered_sum), so every row
-    gets the bits of the formulation sum(1 / (z_i - z_j), axis=-1) - 1 over
-    a (rows, deg, deg) tensor with 1 on the diagonal.
+    division gives for z_j - z_i = -(z_i - z_j). Each Aberth sum adds its deg
+    terms, 1 at j = i, in sequence from j = 0, then -1.
     """
     deg = fm.degree
     rows = np.arange(ws.size)  # rows[r]: the row of z held in column r
@@ -485,9 +448,10 @@ def _aberth(fm: ParabolicMap, z: np.ndarray, ws: np.ndarray, target: np.ndarray,
         terms[right, left] = t
         terms[left, right] = np.negative(t, out=t)
         terms[diag, diag] = 1.0
-        # np.sum(...) - 1.0: np.sum adds its identity 0 last, and (s + 0) - 1 is
-        # s + (-1 + 0j) bit for bit; the sum lands in terms[0]
-        corr = _ordered_sum(terms, -1 + 0j)
+        corr = terms[0]  # the sum lands in terms[0]
+        for row in terms[1:]:
+            corr += row
+        corr += -1 + 0j
         np.multiply(newton, corr, out=corr)
         np.subtract(1.0, corr, out=corr)
         np.divide(newton, corr, out=corr)
@@ -620,13 +584,13 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
                 direction: int | None = None, point_cap: int = 10 ** 6) -> QEnumeration:
     """Breadth-first preimage expansion of each forward iterate of q.
 
-    q is classified once (classify_direction, PROBE_STEPS steps); NotInBasin
-    is raised unless it converges, and into `direction` when one is given.
-    Every enumerated point inherits that direction by provenance: the full
-    basin of an attracting direction is completely invariant, so f(z) = w
-    with w in the basin puts z in it too (the orbit of z is z followed by the
-    orbit of w), and by induction every f^{-l}(f^k(q)) lies in the basin of
-    q. No point is classified again.
+    q is classified once, by classify_batch in PROBE_STEPS steps, and only
+    its label is read; NotInBasin is raised unless it converges, and into
+    `direction` when one is given. Every enumerated point inherits that
+    direction by provenance: the full basin of an attracting direction is
+    completely invariant, so f(z) = w with w in the basin puts z in it too
+    (the orbit of z is z followed by the orbit of w), and by induction every
+    f^{-l}(f^k(q)) lies in the basin of q. No point is classified again.
 
     Expansion runs level by level: one preimages_batch call solves level l
     for every k. The result is sorted by (k, l, re, im) and deduplicated on
@@ -636,8 +600,9 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     PointCapExceeded as soon as a level would take the raw count past
     point_cap, so no caller ever sees part of the levels it asked for.
     """
-    probe = classify_direction(fm, q, PROBE_STEPS)
-    if not probe.converged or direction not in (None, probe.direction):
+    labels, _ = classify_batch(fm, [q], PROBE_STEPS)
+    label = int(labels[0])
+    if label < 0 or direction not in (None, label):
         target = "any direction" if direction is None else f"direction {direction}"
         raise NotInBasin(f"q={q} does not classify into {target}")
 
@@ -693,5 +658,5 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
         if live.size:
             cur = fm(cur)
 
-    return QEnumeration(complex(q), probe.direction, vals, ks, ls, residuals, parent,
+    return QEnumeration(complex(q), label, vals, ks, ls, residuals, parent,
                         k_max, l_max)

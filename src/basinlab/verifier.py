@@ -76,7 +76,8 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
     yields R0_prime and eps = R0_prime e^(-2C/m); theta* = min(1.5 theta0,
     0.9 asin(min(1, cap))) keeps the normalized point at Re > 1/2 with height
     below the cap; theta0_prime comes from the hyperbolic disk clearance at
-    radius C about the normalized point.
+    radius C about the normalized point, in the unwidened domain (the slit
+    plane, or the sector (0, 2pi/m)).
     """
     if C <= 0.0:
         raise ValueError("C must be positive")
@@ -97,17 +98,14 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
     z0n = complex(math.cos(theta_star), math.sin(theta_star))
 
     opening = math.tau / m
-    higher = fm.degree > m + 1
-    if not higher:
-        comparison = ModelDomain.slit_plane() if m == 1 else ModelDomain.sector(0.0, opening)
+    unwidened = ModelDomain.slit_plane() if m == 1 else ModelDomain.sector(0.0, opening)
+    if fm.degree == m + 1:
+        comparison = unwidened
     elif m == 1:
         comparison = ModelDomain.double_sector(-theta0, math.tau + theta0)
     else:
         comparison = ModelDomain.sector(-theta0, opening + theta0)
-
-    clearance_domain = ModelDomain.slit_plane() if m == 1 else ModelDomain.sector(0.0, opening)
-    theta0_prime = kobayashi_disk_clearance(clearance_domain, z0n, C)
-    theta0_prime = min(theta0_prime, 0.999 * theta0)
+    theta0_prime = min(kobayashi_disk_clearance(unwidened, z0n, C), 0.999 * theta0)
 
     kappa, c1, c2 = kappa_infimum(m, (0.0, math.pi / (2.0 * m)))
     return TheoremParams(C, m, direction, theta0, theta0_prime, eps, z0, z0n,

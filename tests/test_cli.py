@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import basinlab
-from basinlab import cli, enumerate_Q, verifier
+from basinlab import cli, enumerate_Q, kobayashi, verifier
 
 # The CLI runs in a temp dir, so a relative PYTHONPATH entry would not resolve;
 # put the absolute parent of the imported package first.
@@ -302,22 +303,34 @@ def test_angle_geometry_has_one_owner():
     assert len(hits) == 1  # the body of wrap_angle
 
 
+def test_chart_distance_has_one_owner():
+    # every hyperbolic distance goes through kobayashi.dist_uv_arrays
+    src = Path(basinlab.__file__).resolve().parent
+    pattern = r"(math|np)\.a(rc)?sinh\("
+    hits = [path.name for path in sorted(src.glob("*.py"))
+            for line in path.read_text().splitlines() if re.search(pattern, line)]
+    assert hits == ["kobayashi.py"]
+    assert re.search(pattern, inspect.getsource(kobayashi.dist_uv_arrays))
+
+
 # sha256 prefixes of the files each command writes, first taken before the
 # certificate's distance pass moved into kobayashi.chart_distances. Re-taken
 # when path_length moved to the G7/K15 rule (distance --path), when the chart
-# distance became a sum of two squares (bounds.csv) and when kappa_infimum began
-# to round down (the case2 constants in certificate.json). A change to one
-# changes a certificate or a distance, and must be deliberate and stated.
+# distance became a sum of two squares (bounds.csv), when kappa_infimum began
+# to round down (the case2 constants in certificate.json) and when the disk
+# clearance moved to dist_uv_arrays (theta0_prime in certificate.json). A
+# change to one changes a certificate or a distance, and must be deliberate
+# and stated.
 _PINNED = {
     "verify-cubic": (["verify", "--poly", "0,1,0,1", "--C", "2", "--q", "0,0.3",
                       "--kmax", "15", "--lmax", "8", "--dump-bounds"],
-                     {"certificate.json": "672d47bb1ea780e0", "bounds.csv": "b842f230306dc33e"}),
+                     {"certificate.json": "7619f1f1ff34a458", "bounds.csv": "b842f230306dc33e"}),
     "closure-quad": (["closure", "--poly", "0,1,1", "--C", "2", "--q", "-0.5",
                       "--kmax", "20", "--lmax", "10", "--depth", "3"],
-                     {"certificate.json": "6ee50b7d93058c13", "closure.json": "3d6ce7fcb1e716f8"}),
+                     {"certificate.json": "d002b93d6d6d5ee3", "closure.json": "3d6ce7fcb1e716f8"}),
     "verify-double-sector": (["verify", "--poly", "0,1,1,1", "--C", "2", "--q=-0.2",
                               "--kmax", "12", "--lmax", "6", "--dump-bounds"],
-                             {"certificate.json": "486b2ce4b21f6b01",
+                             {"certificate.json": "c5f4b4c65bbe8556",
                               "bounds.csv": "5772ea51fc31bc31"}),
     "distance-slit-path": (["distance", "--domain", "slit", "--z1=-0.5,0.5", "--z2=-0.5,-0.5",
                             "--path=-0.5,0.5;-1,0.2;-1,-0.2;-0.5,-0.5"],

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
-                      enumerate_Q, forward_orbit, parse_polynomial, petals, preimages)
+                      enumerate_Q, forward_orbit, parabolic, parse_polynomial, petals,
+                      preimages)
 from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
 from basinlab.kobayashi import wrap_angle
 from basinlab.parabolic import (_BLOCK, _GROUP, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
-                                 ParabolicMap, _ordered_sum, attraction_vectors,
+                                 ParabolicMap, attraction_vectors,
                                  classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
@@ -514,9 +515,10 @@ def _digest(roots):
 
 
 class TestPreimagesKernel:
-    # sha256 of preimages_batch's output, taken from the kernel that summed
-    # 1/(z_i - z_j) over a (rows, deg, deg) tensor with np.sum; the root-major
-    # kernel must reproduce them bit for bit.
+    # sha256 of preimages_batch's output. The acceptance-level and restart
+    # digests were taken from the kernel that summed 1/(z_i - z_j) over a
+    # (rows, deg, deg) tensor with np.sum; below degree 4 that sum adds in
+    # sequence, as the root-major kernel does, so they hold bit for bit.
 
     @pytest.mark.parametrize("coefficients, q, k_max, level, digest", [
         ([0, 1, 1], -0.5, 20, 10,
@@ -535,16 +537,25 @@ class TestPreimagesKernel:
         assert _digest(preimages_batch(fm, frontier)) == digest
 
     @pytest.mark.parametrize("degree, digest", [
-        (4, "516ab3f2088c916cdc4f4b8cb1b962f05016edb1373bbff426862bb43d51569c"),
-        (5, "372419370038b65a8904633659f9d06a2968e9da7e285670f5258bc7258f782d"),
-        (9, "8c4aba377575753caed20bf1369149e1c6aca7588eaa203a0ed8c0ce1b8f32fe"),
-        (11, "7fdc75571527863a2b824f2765cf05023d96e2f36034c952cef4310c3e05df35")])
+        (4, "3d1e16e11f16beb069e7c230462dd43bc8458d0076caf638192151e8eb028770"),
+        (5, "0a6659342df2c6ea903a244b4e475b68b70d9c907fb2d3a6f952b515cd49035e"),
+        (9, "6c423e2618810f6cf4adefca7f68b997c546aeaa89d4197f375db3b6b30fd79c"),
+        (11, "3af27596f269af3d3f7e418a6c7dbc1a34ce7047f6d7d9000f4f004563cccead")])
     def test_pinned_four_lane_degrees(self, degree, digest):
-        # from degree 4 on the Aberth sums take numpy's four-lane order
-        fm, _ = analyze_parabolic([0, 1, 1] + [0] * (degree - 3) + [0.5])
+        # from degree 4 on np.sum would add in four lanes; the kernel adds in
+        # sequence, so these digests are its own, anchored by np.roots: each
+        # root lies within 1e-9 of a root of np.roots(f - w), and each of
+        # those within 1e-9 of a returned root
+        coefficients = [0, 1, 1] + [0] * (degree - 3) + [0.5]
+        fm, _ = analyze_parabolic(coefficients)
         rng = np.random.default_rng(degree)
         ws = 2.0 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
-        assert _digest(preimages_batch(fm, ws)) == digest
+        roots = preimages_batch(fm, ws)
+        for w, row in zip(ws, roots):
+            ref = np.roots(np.subtract(coefficients[::-1], np.r_[[0] * degree, w]))
+            gap = np.abs(row[:, None] - ref[None, :])
+            assert gap.min(axis=1).max() < 1e-9 and gap.min(axis=0).max() < 1e-9
+        assert _digest(roots) == digest
 
     def test_pinned_restarts(self, monkeypatch):
         # z + 3000 z^2 + 3000 z^3 evaluates near its roots with a rounding
@@ -559,20 +570,6 @@ class TestPreimagesKernel:
         roots = preimages_batch(fm, ws)
         assert sorted(set(seeds)) == [(12345, n) for n in range(1, 10)]
         assert _digest(roots) == "9ab94d7c87d93084e1069efd1d8a5618be50906d2c74befac2992c547f96bff9"
-
-    @pytest.mark.parametrize("n", [*range(2, 41), 65, 130])
-    def test_ordered_sum_is_np_sum(self, n):
-        # signed zeros included: numpy adds its identity +0 last
-        rng = np.random.default_rng(n)
-        x = (rng.standard_normal((64, n)) * 10.0 ** rng.integers(-8, 9, (64, n))
-             + 1j * rng.standard_normal((64, n)) * 10.0 ** rng.integers(-8, 9, (64, n)))
-        x[rng.random((64, n)) < 0.2] = -0.0
-        x.imag[rng.random((64, n)) < 0.1] = -0.0
-        x[0] = -0.0
-        expect = np.sum(x, axis=-1)
-        assert _ordered_sum(np.moveaxis(x, -1, 0).copy()).tobytes() == expect.tobytes()
-        assert (_ordered_sum(np.moveaxis(x, -1, 0).copy(), -1 + 0j).tobytes()
-                == (expect - 1.0).tobytes())
 
 
 class TestEnumerateQ:
@@ -630,6 +627,34 @@ class TestEnumerateQ:
         labels, _ = classify_batch(fm, qe.value, 20000)
         assert qe.direction == 0
         assert np.all(labels == qe.direction)
+
+    @pytest.mark.parametrize("poly, q, k_max, l_max, digest", [
+        ("quad_map", -0.5, 20, 10,
+         "45e7155b4bd87f1ad04f26e626c66b739b71acbbe919a3ccc9f2039f5cfe50a8"),
+        ("cubic_map", 0.3j, 15, 8,
+         "0f14adcea415566d035636350a384c822955dcb4842e9d22d7581ad643cab5be")])
+    def test_probe_reads_only_the_label(self, request, monkeypatch, poly, q, k_max, l_max,
+                                        digest):
+        # q's label comes from classify_batch alone, with no scalar re-run of
+        # its orbit; the value, k, l and parent bytes of the acceptance
+        # enumerations are pinned
+        fm, _ = request.getfixturevalue(poly)
+
+        def no_orbit(*args):
+            raise AssertionError("the probe re-ran the orbit of q")
+
+        monkeypatch.setattr(parabolic, "forward_orbit", no_orbit)
+        qe = enumerate_Q(fm, q, k_max, l_max)
+        h = hashlib.sha256()
+        for a in (qe.value, qe.k, qe.l, qe.parent):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_undecided_probe_rejected(self, quad_map):
+        # the fixed point is never judged, so q = 0 stays undecided
+        fm, _ = quad_map
+        with pytest.raises(NotInBasin):
+            enumerate_Q(fm, 0, 2, 2)
 
     def test_direction_resolved_by_probe(self, cubic_map):
         fm, _ = cubic_map

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -56,6 +57,26 @@ class TestChooseParameters:
             p = choose_parameters(fm, C)
             assert bound_case1(p.epsilon, p.pacman.R0_prime, p.m).value == pytest.approx(
                 C, abs=1e-12)
+
+    @pytest.mark.parametrize("poly", ["quad_map", "cubic_map", "perturbed_map"])
+    @pytest.mark.parametrize("C", [2.0, 4.0, 5.0])
+    def test_clearance_matches_mpmath(self, request, poly, C):
+        # theta0_prime is the angle at which the distance from z0n to the ray
+        # reaches C: in chart angles, 2 asinh(sin((vc - v)/2) / sqrt(sin vc sin v))
+        # = C with vc = (m/2) arg z0n, solved in 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        fm, _ = request.getfixturevalue(poly)
+        p = choose_parameters(fm, C)
+        with mpmath.workdps(50):
+            half = mpmath.mpf(p.m) / 2
+            vc = half * mpmath.mpf(cmath.phase(p.z0_normalized))
+
+            def excess(v):
+                return 2 * mpmath.asinh(mpmath.sin((vc - v) / 2)
+                                        / mpmath.sqrt(mpmath.sin(vc) * mpmath.sin(v))) - C
+
+            want = mpmath.findroot(excess, (vc * 1e-6, vc), solver="anderson") / half
+            assert abs(p.theta0_prime - want) <= 1e-14 * want
 
     def test_sector_comparison_for_two_petals(self, cubic_map):
         fm, _ = cubic_map
