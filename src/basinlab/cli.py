@@ -4,8 +4,14 @@ Every flag is checked by its argparse type, and the checks that involve two
 flags run right after parsing, so a usage problem exits 2 with the grammar
 before any computation starts or any file is written. Computational failures
 exit 1 with a JSON error object on stderr, certificate failures exit 1.
-Identical argv (including --seed) produce byte-identical file outputs: JSON is
-dumped with sorted keys and certificates omit wall-clock fields.
+
+Every report file goes through one writer, _write, which creates --out-dir,
+writes ASCII and turns any OSError into IoFailure (exit 1, JSON error), so an
+unwritable --out-dir fails the same way on every subcommand; only the PPM
+image is written by raster.write_image, which raises the same error. Identical
+argv (including --seed) produce byte-identical file outputs: JSON is dumped
+with sorted keys, CSV floats are written as repr, and certificates omit
+wall-clock fields.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import kobayashi, petals, raster, verifier
-from .errors import BasinLabError
+from .errors import BasinLabError, IoFailure
 from .parabolic import (analyze_parabolic, classify_direction, enumerate_Q,
                         forward_orbit, parse_polynomial, preimages)
 
@@ -80,16 +87,30 @@ def _parse_map(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _dump_json(obj, path) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def _write(out_dir: str, name: str, text: str) -> None:
+    """Write text to out_dir/name as ASCII, creating out_dir; the one place a
+    report file is opened. Any OSError is raised as IoFailure."""
+    try:
+        os.makedirs(out_dir or ".", exist_ok=True)
+        with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def _write_csv(out_dir: str, name: str, header: str, rows) -> None:
+    """One comma-separated line per row; str() of a Python float is its repr."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    _write(out_dir, name, "\n".join(lines) + "\n")
+
+
+def _write_json(out_dir: str, name: str, obj) -> None:
+    _write(out_dir, name, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _emit(payload: dict, out_dir: str, name: str) -> None:
     """Write payload to out_dir/name and echo it on stdout."""
-    _dump_json(payload, os.path.join(out_dir, name))
+    _write_json(out_dir, name, payload)
     print(json.dumps(payload, sort_keys=True))
 
 
@@ -241,11 +262,8 @@ def _dispatch(args) -> int:
             rec = classify_direction(fm, args.z0, args.n)
         else:
             rec = forward_orbit(fm, args.z0, args.n)
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "orbit.csv"), "w", encoding="ascii") as fh:
-            fh.write("step,re,im\n")
-            for i, z in enumerate(rec.points):
-                fh.write(f"{i},{z.real!r},{z.imag!r}\n")
+        _write_csv(out_dir, "orbit.csv", "step,re,im",
+                   ((i, z.real, z.imag) for i, z in enumerate(rec.points)))
         _emit({
             "status": rec.status.value,
             "direction": rec.direction,
@@ -262,8 +280,9 @@ def _dispatch(args) -> int:
     if cmd == "enumerate-q":
         fm, _ = args.poly
         qe = enumerate_Q(fm, args.q, args.kmax, args.lmax, args.direction)
-        os.makedirs(out_dir, exist_ok=True)
-        qe.to_csv(os.path.join(out_dir, "q_points.csv"))
+        _write_csv(out_dir, "q_points.csv", "re,im,k,l,residual",
+                   zip(qe.value.real.tolist(), qe.value.imag.tolist(), qe.k.tolist(),
+                       qe.l.tolist(), qe.residual.tolist()))
         print(json.dumps({"n_points": int(qe.value.size)}, sort_keys=True))
         return 0
 
@@ -274,10 +293,7 @@ def _dispatch(args) -> int:
         if args.check_invariance:
             rep = petals.check_petal_invariance(fm, pm, n_steps=args.steps,
                                                 samples=args.samples, seed=args.seed)
-            payload["invariance"] = {"violations": rep.violations,
-                                     "worst_margin": rep.worst_margin,
-                                     "samples": rep.samples,
-                                     "n_steps": rep.n_steps}
+            payload["invariance"] = asdict(rep)
         _emit(payload, out_dir, "pacman.json")
         return 0
 
@@ -299,10 +315,14 @@ def _dispatch(args) -> int:
         fm, _ = args.poly
         cert = verifier.verify_theorem(fm, args.C, args.q, args.kmax, args.lmax,
                                        args.direction)
-        _dump_json(cert.to_json_dict(), os.path.join(out_dir, "certificate.json"))
+        _write_json(out_dir, "certificate.json", cert.to_json_dict())
         sys.stdout.write(cert.to_table())
         if cmd == "verify" and args.dump_bounds:
-            cert.bounds_to_csv(os.path.join(out_dir, "bounds.csv"))
+            qe = cert.enumeration
+            _write_csv(out_dir, "bounds.csv", "re,im,k,l,bound,certified",
+                       zip(qe.value.real.tolist(), qe.value.imag.tolist(), qe.k.tolist(),
+                           qe.l.tolist(), cert.point_bounds.tolist(),
+                           cert.certified_mask.astype(int).tolist()))
         if cmd == "closure":
             rep = verifier.corollary_d_closure(fm, cert, args.depth)
             _emit(rep.to_json_dict(), out_dir, "closure.json")
@@ -318,13 +338,10 @@ def _dispatch(args) -> int:
         grid = raster.classify_grid(fm, window, args.res, args.nmax)
         if args.component_seed is not None:
             raster.immediate_component(grid, args.component_seed)
-        os.makedirs(out_dir, exist_ok=True)
-        raster.write_image(grid, os.path.join(out_dir, "basin.ppm"))
         counts = grid.label_counts()
-        with open(os.path.join(out_dir, "label_counts.csv"), "w", encoding="ascii") as fh:
-            fh.write("label,count\n")
-            for k in sorted(counts):
-                fh.write(f"{k},{counts[k]}\n")
+        # label_counts.csv first: its writer creates out_dir for the image
+        _write_csv(out_dir, "label_counts.csv", "label,count", sorted(counts.items()))
+        raster.write_image(grid, os.path.join(out_dir, "basin.ppm"))
         print(json.dumps({"labels": {str(k): v for k, v in sorted(counts.items())}},
                          sort_keys=True))
         return 0
@@ -332,15 +349,8 @@ def _dispatch(args) -> int:
     # prop3, the last subcommand
     fm, _ = args.poly
     rep = raster.prop3_disjointness(fm, args.R, args.theta0, args.res, args.nmax)
-    payload = {
-        "disjoint": rep.disjoint,
-        "overlap_pixels": rep.overlap_pixels,
-        "s1_pixels": rep.s1_pixels,
-        "s2_pixels": rep.s2_pixels,
-        "resolution": rep.resolution,
-        "basin_pixels": rep.basin_pixels,
-        "undecided_pixels": rep.undecided_pixels,
-    }
+    payload = asdict(rep)
+    del payload["n_max"]
     if args.stability_check:
         rep2 = raster.prop3_disjointness(fm, args.R, args.theta0, 2 * args.res, args.nmax)
         payload["doubled"] = {"disjoint": rep2.disjoint,

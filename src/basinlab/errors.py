@@ -70,4 +70,5 @@ class SeedNotInBasin(BasinLabError, ValueError):
 
 
 class IoFailure(BasinLabError, OSError):
-    """Image or report output could not be written."""
+    """A report file or image could not be written: the OSError of the CLI's
+    one writer, cli._write, or of raster.write_image, as a typed error."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic, NumericOverflow,
                      PointCapExceeded)
-from .kobayashi import wrap_angle
+from .kobayashi import lift_angle, wrap_angle
 
 # Labels used by the vectorized classifier. Nonnegative values are direction
 # indices; the negative values are terminal non-direction states.
@@ -67,11 +67,13 @@ class ParabolicMap:
 
 def _horner(coefficients_desc, z, out=None):
     # A Python scalar stays in Python complex arithmetic: the orbit of q is
-    # computed that way, and numpy's complex multiply rounds differently. An
-    # array result is accumulated in place, in `out` when the caller reuses a
-    # buffer. Seeding r with the leading coefficient skips the step 0*z + c
-    # from r = 0, which gives the same bits for finite z unless c has a
-    # negative-zero part, and saves two passes over an array.
+    # computed that way, and numpy's complex multiply rounds differently. Nor
+    # does numpy round alike at every length: the same operands can give
+    # other bits in a one-element array than in a longer one. An array result
+    # is accumulated in place, in `out` when the caller reuses a buffer.
+    # Seeding r with the leading coefficient skips the step 0*z + c from
+    # r = 0, which gives the same bits for finite z unless c has a negative-
+    # zero part, and saves two passes over an array.
     lead, *rest = coefficients_desc
     if not isinstance(z, np.ndarray):
         r = lead
@@ -95,7 +97,7 @@ class AttractionVectorSet:
 
     @property
     def attraction_args(self) -> tuple:
-        return tuple(cmath.phase(v) % math.tau for v in self.attraction)
+        return tuple(lift_angle(cmath.phase(v), 0.0) for v in self.attraction)
 
 
 class OrbitStatus(Enum):
@@ -165,8 +167,8 @@ def attraction_vectors(fm: ParabolicMap) -> AttractionVectorSet:
     base_rep = (-cmath.phase(a)) / m
     att = [_snap_axis(rad * cmath.exp(1j * (base_att + math.tau * j / m))) for j in range(m)]
     rep = [_snap_axis(rad * cmath.exp(1j * (base_rep + math.tau * j / m))) for j in range(m)]
-    att.sort(key=lambda v: cmath.phase(v) % math.tau)
-    rep.sort(key=lambda v: cmath.phase(v) % math.tau)
+    att.sort(key=lambda v: lift_angle(cmath.phase(v), 0.0))
+    rep.sort(key=lambda v: lift_angle(cmath.phase(v), 0.0))
     return AttractionVectorSet(tuple(att), tuple(rep))
 
 
@@ -254,9 +256,12 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     tested at once, and each orbit is retired at its first event in step
     order: escape, entry into the gate, or landing on the fixed point. A full
     block steps one step at a time. Every orbit is iterated and tested with
-    the same elementwise operations whatever its block, group or live set, so
-    none of them changes a label or a step count; only the number of numpy
-    calls does.
+    the same elementwise operations whatever its block, group or live set,
+    but not always to the same bits: numpy may round a complex multiply on a
+    one-element array differently from a longer one (see _horner), so an
+    orbit left alone in its live set can drift by rounding from the same
+    orbit in a larger set. A label is decided by entry into an absorbing
+    set, and no label or step count has been seen to move by this drift.
     """
     from . import petals  # deferred: petals imports this module
 
@@ -532,14 +537,6 @@ def quantize(values: np.ndarray) -> np.ndarray:
     return keys
 
 
-@dataclass(frozen=True)
-class QPoint:
-    value: complex
-    k: int
-    l: int
-    residual: float
-
-
 @dataclass
 class QEnumeration:
     """Deduplicated truncation of the forward orbit plus its preimage trees.
@@ -562,22 +559,14 @@ class QEnumeration:
     l_max: int
 
     @property
-    def points(self) -> list:
-        return [QPoint(v, k, l, r) for v, k, l, r in
-                zip(self.value.tolist(), self.k.tolist(), self.l.tolist(),
-                    self.residual.tolist())]
+    def points(self) -> np.ndarray:
+        """The value array under its older name, read by the benchmark's
+        enumerate_Q hook as len(result.points)."""
+        return self.value
 
     def counts_by_kl(self) -> dict:
         kl, counts = np.unique(self.k * (self.l_max + 1) + self.l, return_counts=True)
         return {divmod(int(key), self.l_max + 1): int(n) for key, n in zip(kl, counts)}
-
-    def to_csv(self, path) -> None:
-        lines = ["re,im,k,l,residual"]
-        for v, k, l, r in zip(self.value.tolist(), self.k.tolist(), self.l.tolist(),
-                              self.residual.tolist()):
-            lines.append(f"{v.real!r},{v.imag!r},{k},{l},{r!r}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,

@@ -23,7 +23,7 @@ from .errors import (ConstructionFailed, NonPositiveImaginary, OutsideComparison
                      SmallRealPart)
 from .kobayashi import (DistanceBound, LiftedPoint, ModelDomain, bound_case1,
                         bound_case2_horizontal, chart_distances, kappa_infimum,
-                        kobayashi_disk_clearance, wrap_angle)
+                        kobayashi_disk_clearance, lift_angle, wrap_angle)
 from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q,
                         preimages_batch)
 from .petals import PacManConstruction, construct_pacman
@@ -93,7 +93,7 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
         raise ConstructionFailed(f"wedge construction rejected theta0={theta0}") from exc
     eps = pm.R0_prime * math.exp(-2.0 * C / m)
     theta_star = min(1.5 * theta0, 0.9 * math.asin(min(1.0, cap)))
-    rotation = (vs.attraction_args[direction] - math.pi / m) % math.tau
+    rotation = lift_angle(vs.attraction_args[direction] - math.pi / m, 0.0)
     z0 = eps * complex(math.cos(rotation + theta_star), math.sin(rotation + theta_star))
     z0n = complex(math.cos(theta_star), math.sin(theta_star))
 
@@ -118,7 +118,7 @@ def _rotated_polar(params: TheoremParams, values) -> tuple[np.ndarray, np.ndarra
     -params.rotation, where the comparison domain sits (an argument just below
     0 rounds up to 2pi)."""
     zeta = values * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-    return np.abs(zeta), np.angle(zeta) % math.tau
+    return np.abs(zeta), lift_angle(np.angle(zeta), 0.0)
 
 
 def certify_points(params: TheoremParams, values: np.ndarray, polar):
@@ -128,7 +128,7 @@ def certify_points(params: TheoremParams, values: np.ndarray, polar):
     the caller computes once. The least distance over several lifts can only
     under-state the bound, so it stays sound."""
     z0 = params.z0 * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-    base = LiftedPoint(abs(z0), math.atan2(z0.imag, z0.real) % math.tau)
+    base = LiftedPoint(abs(z0), lift_angle(math.atan2(z0.imag, z0.real), 0.0))
     return chart_distances(params.comparison_domain, base, *polar)
 
 
@@ -243,16 +243,6 @@ class TheoremCertificate:
                 k, l = divmod(key, width)
                 lines.append(f"  {k:2d} {l:2d} {cnt:6d}  {mn:.6f}")
         return "\n".join(lines) + "\n"
-
-    def bounds_to_csv(self, path) -> None:
-        lines = ["re,im,k,l,bound,certified"]
-        qe = self.enumeration
-        for v, k, l, b, ok in zip(qe.value.tolist(), qe.k.tolist(), qe.l.tolist(),
-                                  self.point_bounds.tolist(), self.certified_mask.tolist()):
-            btxt = repr(b) if math.isfinite(b) else "inf"
-            lines.append(f"{v.real!r},{v.imag!r},{k},{l},{btxt},{int(ok)}")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,

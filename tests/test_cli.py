@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import basinlab
-from basinlab import cli, enumerate_Q, kobayashi, verifier
+from basinlab import cli, enumerate_Q, kobayashi, raster, verifier
 
 # The CLI runs in a temp dir, so a relative PYTHONPATH entry would not resolve;
 # put the absolute parent of the imported package first.
@@ -226,6 +226,37 @@ def test_usage_error_before_any_output(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+_EVERY_COMMAND = {
+    "vectors": ["vectors", "--poly", "0,1,1"],
+    "orbit": ["orbit", "--poly", "0,1,1", "--z0=-0.5", "--n", "3"],
+    "preimages": ["preimages", "--poly", "0,1,1", "--w=-0.5"],
+    "enumerate-q": ["enumerate-q", *_VERIFY],
+    "pacman": ["pacman", "--poly", "0,1,1", "--theta0", "0.1"],
+    "distance": ["distance", "--domain", "halfplane", "--z1", "0,1", "--z2", "0,2"],
+    "verify": ["verify", *_VERIFY, "--C", "2", "--dump-bounds"],
+    "closure": ["closure", *_VERIFY, "--C", "2", "--depth", "1"],
+    "render": ["render", "--poly", "0,1,1", "--width", "1.5", "--res", "8", "--nmax", "100"],
+    "prop3": [*_PROP3, "--res", "16", "--nmax", "100"],
+}
+
+
+def test_every_command_is_covered():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert set(_EVERY_COMMAND) == set(sub.choices)
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_COMMAND))
+def test_unwritable_out_dir_is_an_io_failure(name, tmp_path):
+    # --out-dir names a regular file, so no report can be written under it
+    (tmp_path / "o").write_text("")
+    res = run_cli(["--out-dir", "o", *_EVERY_COMMAND[name]], tmp_path)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    error = json.loads(res.stderr)
+    assert error["error"] == "IoFailure"
+    assert (tmp_path / "o").read_text() == ""
+
+
 def test_truncated_q_yields_no_certificate(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verifier, "enumerate_Q",
                         functools.partial(enumerate_Q, point_cap=20))
@@ -293,14 +324,27 @@ def test_package_reads_no_environment():
 
 
 def test_angle_geometry_has_one_owner():
-    # the [-pi, pi) wrap is kobayashi.wrap_angle and 2pi is math.tau
+    # the [-pi, pi) wrap is kobayashi.wrap_angle, the [low, low + 2pi) lift is
+    # kobayashi.lift_angle and 2pi is math.tau
     src = Path(basinlab.__file__).resolve().parent
-    pattern = r"\+\s*(math|np)\.pi\)\s*%.*-\s*(math|np)\.pi|2(\.0)?\s*\*\s*(math|np)\.pi"
-    hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
-            for n, line in enumerate(path.read_text().splitlines(), 1)
-            if re.search(pattern, line)]
-    assert [h for h in hits if not h.startswith("kobayashi.py:")] == []
-    assert len(hits) == 1  # the body of wrap_angle
+    wrap = r"\+\s*(math|np)\.pi\)\s*%.*-\s*(math|np)\.pi|2(\.0)?\s*\*\s*(math|np)\.pi"
+    hits = {kind: [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+                   for n, line in enumerate(path.read_text().splitlines(), 1)
+                   if re.search(pattern, line)]
+            for kind, pattern in (("wrap", wrap), ("lift", r"%\s*math\.tau"))}
+    assert [h for h in hits["wrap"] + hits["lift"] if not h.startswith("kobayashi.py:")] == []
+    assert len(hits["wrap"]) == 1  # the body of wrap_angle
+    assert len(hits["lift"]) == 2  # wrap_angle and lift_angle's float branch
+
+
+def test_report_files_have_one_writer():
+    # every report file is opened by cli._write; the image by raster.write_image
+    src = Path(basinlab.__file__).resolve().parent
+    openers = [path.name for path in sorted(src.glob("*.py"))
+               for line in path.read_text().splitlines() if re.search(r"\bopen\(", line)]
+    assert openers == ["cli.py", "raster.py"]
+    assert "open(" in inspect.getsource(cli._write)
+    assert "open(" in inspect.getsource(raster.write_image)
 
 
 def test_chart_distance_has_one_owner():

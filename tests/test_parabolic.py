@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basinlab import (OrbitStatus, analyze_parabolic, classify_direction,
+from basinlab import (OrbitStatus, analyze_parabolic, classify_direction, cli,
                       enumerate_Q, forward_orbit, parabolic, parse_polynomial, petals,
                       preimages)
 from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
@@ -599,7 +599,7 @@ class TestEnumerateQ:
         # re-verified forward residual, independent of the root finder
         fm, _ = quad_map
         qe = enumerate_Q(fm, -0.5, 4, 4, 0)
-        assert max(p.residual for p in qe.points) < 1e-8
+        assert qe.residual.max() < 1e-8
 
     def test_monotone_in_depth(self, quad_map):
         fm, _ = quad_map
@@ -697,10 +697,16 @@ class TestEnumerateQ:
             quantize(np.array([1e10 + 0j]))
 
     def test_csv_round_trip(self, quad_map, tmp_path):
+        # enumerate-q writes q_points.csv, one row per point, floats exact
         fm, _ = quad_map
         qe = enumerate_Q(fm, -0.5, 1, 1, 0)
-        path = tmp_path / "q.csv"
-        qe.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        assert cli.main(["--out-dir", str(tmp_path), "enumerate-q", "--poly", "0,1,1",
+                         "--q", "-0.5", "--kmax", "1", "--lmax", "1"]) == 0
+        lines = (tmp_path / "q_points.csv").read_text().strip().splitlines()
         assert lines[0] == "re,im,k,l,residual"
-        assert len(lines) == len(qe.points) + 1
+        assert len(lines) == qe.value.size + 1
+        rows = [line.split(",") for line in lines[1:]]
+        assert [complex(float(x), float(y)) for x, y, *_ in rows] == qe.value.tolist()
+        assert [int(k) for _, _, k, _, _ in rows] == qe.k.tolist()
+        assert [int(l) for *_, l, _ in rows] == qe.l.tolist()
+        assert [float(r) for *_, r in rows] == qe.residual.tolist()

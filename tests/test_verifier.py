@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from basinlab import (LiftedPoint, ModelDomain, analyze_parabolic, certify_pair,
-                      choose_parameters, corollary_d_closure, distance_exact, kobayashi,
-                      path_length, verifier, verify_theorem)
+                      choose_parameters, cli, corollary_d_closure, distance_exact,
+                      kobayashi, path_length, verifier, verify_theorem)
 from basinlab.errors import NotInBasin, OutsideComparisonDomain
 
 
@@ -246,14 +246,18 @@ class TestVerifyTheorem:
         assert "global_min" in table
 
     def test_csv_dump(self, small_cert, tmp_path):
-        path = tmp_path / "bounds.csv"
-        small_cert.bounds_to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        # verify --dump-bounds writes bounds.csv: plain floats, not numpy
+        # reprs, that read back to the certificate's own bits
+        assert cli.main(["--out-dir", str(tmp_path), "verify", "--poly", "0,1,1", "--C", "2",
+                         "--q", "-0.5", "--kmax", "6", "--lmax", "5", "--dump-bounds"]) == 0
+        lines = (tmp_path / "bounds.csv").read_text().strip().splitlines()
         assert lines[0] == "re,im,k,l,bound,certified"
         assert len(lines) == small_cert.n_points + 1
-        for line in lines[1:]:
-            x, y, *_ = line.split(",")
-            float(x), float(y)  # plain floats, not numpy reprs
+        rows = [line.split(",") for line in lines[1:]]
+        qe = small_cert.enumeration
+        assert [complex(float(x), float(y)) for x, y, *_ in rows] == qe.value.tolist()
+        assert [float(b) for *_, b, _ in rows] == small_cert.point_bounds.tolist()
+        assert [c == "1" for *_, c in rows] == small_cert.certified_mask.tolist()
 
 
 class TestTwoPetalCertificate:
