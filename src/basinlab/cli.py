@@ -8,10 +8,11 @@ exit 1 with a JSON error object on stderr, certificate failures exit 1.
 Every report file goes through one writer, _write, which creates --out-dir,
 writes ASCII and turns any OSError into IoFailure (exit 1, JSON error), so an
 unwritable --out-dir fails the same way on every subcommand; only the PPM
-image is written by raster.write_image, which raises the same error. Identical
-argv (including --seed) produce byte-identical file outputs: JSON is dumped
-with sorted keys, CSV floats are written as repr, and certificates omit
-wall-clock fields.
+image is written by raster.write_image, which raises the same error. An
+--out-dir that exists and is not a directory raises IoFailure before any
+computation starts. Identical argv (including --seed) produce byte-identical
+file outputs: JSON is dumped with sorted keys, CSV floats are written as
+repr, and certificates omit wall-clock fields.
 """
 
 from __future__ import annotations
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd, out_dir = args.command, args.out_dir
+    # checked, not created: a failed computation leaves no --out-dir behind
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise IoFailure(f"--out-dir {out_dir!r} exists and is not a directory")
 
     if cmd == "vectors":
         fm, vs = args.poly

@@ -30,7 +30,24 @@ import numpy as np
 from .errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
                      OutsideDomain, PathExitsDomain, SmallRealPart)
 
-_ANG_GUARD = 1e-12  # relative boundary-proximity guard on the argument
+_ANG_GUARD = 1e-12  # absolute margin (radians) from each boundary ray
+# The Gauss-Kronrod pair G3/K7 on [-1, 1], tried once before G7/K15: the 7
+# Kronrod nodes, the K7 weights, and the G3 weights, zero on the 4
+# Kronrod-only nodes.
+_GK7_NODES = (
+    0.960491268708020283423507092629080, 0.774596669241483377035853079956480,
+    0.434243749346802558002071502844628, 0.0,
+    -0.434243749346802558002071502844628, -0.774596669241483377035853079956480,
+    -0.960491268708020283423507092629080)
+_K7_WEIGHTS = (
+    0.104656226026467265193823857192073, 0.268488089868333440728569280666710,
+    0.401397414775962222905051818618432, 0.450916538658474142345110087045571,
+    0.401397414775962222905051818618432, 0.268488089868333440728569280666710,
+    0.104656226026467265193823857192073)
+_G3_WEIGHTS = (
+    0.0, 0.555555555555555555555555555555556,
+    0.0, 0.888888888888888888888888888888889,
+    0.0, 0.555555555555555555555555555555556, 0.0)
 # The Gauss-Kronrod pair G7/K15 of QUADPACK's qk15 on [-1, 1]: the 15 Kronrod
 # nodes, the K15 weights, and the G7 weights, zero on the 8 Kronrod-only nodes.
 _GK15_NODES = (
@@ -59,9 +76,10 @@ _G7_WEIGHTS = (
     0.0, 0.381830050505118944950369775488975,
     0.0, 0.279705391489276667901467771423780,
     0.0, 0.129484966168869693270611432679082, 0.0)
-# Bound on the summed |K15 - G7| of a polyline. On the 64 metric-paths
-# polylines every polyline meets it at depth 0, with the lengths within 4e-16
-# relative of a 16-point Gauss-Legendre rule refined to depth 1.
+# Bound on the summed |K7 - G3| or |K15 - G7| of a polyline. On the 64
+# metric-paths polylines every polyline meets it at K7, with the lengths
+# within 2.1e-16 relative of the G7/K15 ones, which are within 4e-16 relative
+# of a 16-point Gauss-Legendre rule refined to depth 1.
 _PATH_RTOL, _PATH_ATOL = 1e-11, 1e-12
 _PATH_MAX_DEPTH = 12  # at most 2**12 subintervals per segment
 
@@ -314,12 +332,14 @@ def _chord_rtheta(domain: ModelDomain, za, zb, tha, t: np.ndarray,
     np.abs(z, out=r)
 
 
-# Quadrature nodes per block (fewer when one segment has more nodes). On the
-# 64 metric-paths polylines (Xeon, 2 MB L2 per core; median of 9 passes) a
-# pass takes 0.127 s at 4 K nodes and 0.119 s at 8 K; at 16 K, 0.120 s, with
-# 4-7 K minor faults on the first pass, as the 256 KB complex buffer passes
-# glibc's 128 KB mmap threshold until the threshold adapts; whole depths at
-# once take 0.148 s with 13-18 K faults on every pass.
+# Quadrature nodes per block (fewer when one segment has more nodes). The 64
+# metric-paths polylines all pass at K7, 7 nodes per segment; there (Xeon,
+# 2 MB L2 per core; median of 9 passes, in each of 3 processes) a pass takes
+# 0.061-0.070 s at 4 K nodes with no minor faults after the first pass,
+# 0.074-0.077 s at 8 K with about 4.8 K faults on every pass, 0.080-0.109 s
+# at 16 K and 0.080-0.107 s with the whole polyline in one block, each with
+# 10-11 K faults on every pass. With G7/K15 alone, 15 nodes per segment, 8 K
+# was the fastest: 0.119 s against 0.127 s at 4 K.
 _NODE_BLOCK = 1 << 13
 
 
@@ -332,17 +352,21 @@ def path_length(domain: ModelDomain, vertices) -> float:
     boundary guard), zb * conj(za) is not a non-positive real, and the start
     lift plus that turn lands on the end lift within 1e-6.
 
-    Segments are integrated all together with the composite Gauss-Kronrod
-    pair G7/K15 over 2**depth equal pieces, from depth 0 up. At each depth
-    the 15 densities per piece give the K15 and the embedded G7 integral of
-    every segment; the K15 total is returned once the summed |K15 - G7| over
-    all segments, each times its chord length, is at most max(_PATH_ATOL,
-    _PATH_RTOL * |total|). That sum of absolute differences cannot cancel
-    across segments. Past _PATH_MAX_DEPTH the last total is returned
-    unconverged. The nodes are evaluated over blocks of about _NODE_BLOCK
-    and every node is checked to lie in the domain. The block size does not
-    change a bit of the result: rows are independent, and the densities of
-    all segments meet in one product with the weights.
+    Segments are integrated all together, following one schedule: the
+    Gauss-Kronrod pair G3/K7 over each whole segment, then the composite pair
+    G7/K15 over 2**depth equal pieces, from depth 0 up. Each pass gives the
+    Kronrod and the embedded Gauss integral of every segment, from 7 or 15
+    densities per piece; the Kronrod total is returned once the summed
+    |Kronrod - Gauss| over all segments, each times its chord length, is at
+    most max(_PATH_ATOL, _PATH_RTOL * |total|). That sum of absolute
+    differences cannot cancel across segments. A fine polyline passes at K7,
+    with 7 densities per segment; a coarse one costs at most 7 more per
+    segment than G7/K15 alone, whose totals it returns bit for bit. Past
+    _PATH_MAX_DEPTH the last total is returned unconverged. The nodes are
+    evaluated over blocks of about _NODE_BLOCK and every node is checked to
+    lie in the domain. The block size does not change a bit of the result:
+    rows are independent, and the densities of all segments meet in one
+    product with the weights.
     """
     if len(vertices) < 2:
         raise ValueError("polyline needs at least two vertices")
@@ -358,9 +382,9 @@ def path_length(domain: ModelDomain, vertices) -> float:
     chord = np.abs(zb - za)
     n_seg = za.size
 
-    nodes = np.array(_GK15_NODES)
-    kg = np.array((_K15_WEIGHTS, _G7_WEIGHTS)).T
-    for depth in range(_PATH_MAX_DEPTH + 1):
+    k7 = np.array(_GK7_NODES), np.array((_K7_WEIGHTS, _G3_WEIGHTS)).T
+    k15 = np.array(_GK15_NODES), np.array((_K15_WEIGHTS, _G7_WEIGHTS)).T
+    for (nodes, kg), depth in [(k7, 0)] + [(k15, d) for d in range(_PATH_MAX_DEPTH + 1)]:
         pieces = 2 ** depth
         edges = np.linspace(0.0, 1.0, pieces + 1)
         mid = (edges[:-1, None] + edges[1:, None]) / 2.0

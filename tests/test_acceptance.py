@@ -15,8 +15,8 @@ import pytest
 from basinlab import (ModelDomain, LiftedPoint, analyze_parabolic, bound_case1,
                       bound_case2, bound_case2_horizontal, check_petal_invariance,
                       choose_parameters, corollary_d_closure, distance_exact,
-                      estimate_remainder, geodesic_polyline, path_length,
-                      prop3_disjointness, verify_theorem)
+                      estimate_remainder, geodesic_polyline, kobayashi,
+                      path_length, prop3_disjointness, verify_theorem)
 from basinlab.petals import conjugated_map
 
 LN2 = math.log(2.0)
@@ -102,6 +102,25 @@ def test_criterion_03_closed_form_metric_suite():
     _report(3, ok,
             f"d_H(i,2i) and d_slit(-1,-4) = ln2 to 1e-12, quadrature to 1e-9; "
             f"1000 random pairs chart-vs-quadrature worst {worst:.2e}")
+
+
+def test_metric_paths_density_evaluations(monkeypatch):
+    # the work count of the metric-paths workload at its default inputs: 64
+    # polylines, 200,839 segments, each passing at G3/K7 (7 densities)
+    seen = []
+    density_into = kobayashi._density_into
+
+    def counting(domain, r, theta, out):
+        seen.append(out.size)
+        return density_into(domain, r, theta, out)
+
+    monkeypatch.setattr(kobayashi, "_density_into", counting)
+    segments = 0
+    for z1, z2 in _random_slit_pairs(64, seed=101):
+        n = min(6000, max(256, int(distance_exact(SLIT, z1, z2).value * 1500)))
+        path_length(SLIT, geodesic_polyline(SLIT, z1, z2, n))
+        segments += n
+    assert (segments, sum(seen)) == (200_839, 1_405_873)
 
 
 def test_criterion_04_homogeneity_and_monotonicity():

@@ -257,6 +257,19 @@ def test_unwritable_out_dir_is_an_io_failure(name, tmp_path):
     assert (tmp_path / "o").read_text() == ""
 
 
+def test_out_dir_file_fails_before_computing(tmp_path, monkeypatch, capsys):
+    def no_call(*args, **kwargs):
+        raise AssertionError("verify_theorem ran")
+
+    monkeypatch.setattr(verifier, "verify_theorem", no_call)
+    out = tmp_path / "o"
+    out.write_text("")
+    code = cli.main(["--out-dir", str(out), "verify", *_VERIFY, "--C", "2"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "IoFailure"
+    assert out.read_text() == ""
+
+
 def test_truncated_q_yields_no_certificate(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verifier, "enumerate_Q",
                         functools.partial(enumerate_Q, point_cap=20))

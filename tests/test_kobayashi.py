@@ -22,12 +22,13 @@ H = ModelDomain.half_plane()
 SLIT = ModelDomain.slit_plane()
 
 
-def _sampled_path_length(domain, vertices):
+def _sampled_path_length(domain, vertices, k7_first=True):
     """Reference path_length with the sampled segment check: 32 interior
     samples per segment must lie inside, their normalized arguments may not
     jump by pi or more, and on a double sector the argument continued along
     the samples must land on the declared lift. Every node of a depth is
-    evaluated at once."""
+    evaluated at once. The schedule is path_length's: one G3/K7 pass, then
+    G7/K15 from depth 0 up; k7_first=False skips the G3/K7 pass."""
     zs, thetas = _vertex_arrays(domain, vertices)
     za, zb, tha, thb = zs[:-1], zs[1:], thetas[:-1], thetas[1:]
     two_pi = 2.0 * math.pi
@@ -59,9 +60,12 @@ def _sampled_path_length(domain, vertices):
 
     chord = np.abs(zb - za)
     h, lo = domain.width, domain.arg_low
-    nodes = np.array(kobayashi._GK15_NODES)
-    kg = np.array((kobayashi._K15_WEIGHTS, kobayashi._G7_WEIGHTS)).T
-    for depth in range(kobayashi._PATH_MAX_DEPTH + 1):
+    k7 = (np.array(kobayashi._GK7_NODES),
+          np.array((kobayashi._K7_WEIGHTS, kobayashi._G3_WEIGHTS)).T)
+    k15 = (np.array(kobayashi._GK15_NODES),
+           np.array((kobayashi._K15_WEIGHTS, kobayashi._G7_WEIGHTS)).T)
+    schedule = [(k15, d) for d in range(kobayashi._PATH_MAX_DEPTH + 1)]
+    for (nodes, kg), depth in ([(k7, 0)] if k7_first else []) + schedule:
         edges = np.linspace(0.0, 1.0, 2 ** depth + 1)
         mid = (edges[:-1, None] + edges[1:, None]) / 2.0
         half = (edges[1:, None] - edges[:-1, None]) / 2.0
@@ -234,25 +238,62 @@ class TestGaussKronrodRule:
     NODES = np.array(kobayashi._GK15_NODES)
     K15 = np.array(kobayashi._K15_WEIGHTS)
     G7 = np.array(kobayashi._G7_WEIGHTS)
+    NODES7 = np.array(kobayashi._GK7_NODES)
+    K7 = np.array(kobayashi._K7_WEIGHTS)
+    G3 = np.array(kobayashi._G3_WEIGHTS)
+    RULE_NODES = {"K15": "NODES", "G7": "NODES", "K7": "NODES7", "G3": "NODES7"}
 
     def test_nodes_are_antisymmetric(self):
         assert self.NODES.size == self.K15.size == self.G7.size == 15
-        assert np.array_equal(self.NODES, -self.NODES[::-1])
+        assert self.NODES7.size == self.K7.size == self.G3.size == 7
+        for nodes in (self.NODES, self.NODES7):
+            assert np.array_equal(nodes, -nodes[::-1])
 
-    @pytest.mark.parametrize("name", ["K15", "G7"])
+    @pytest.mark.parametrize("name", ["K15", "G7", "K7", "G3"])
     def test_weights_sum_to_two(self, name):
         assert abs(math.fsum(getattr(self, name)) - 2.0) <= 1e-15
 
-    @pytest.mark.parametrize("name, degree", [("K15", 22), ("G7", 13)])
+    @pytest.mark.parametrize("name, degree", [("K15", 22), ("G7", 13), ("K7", 11), ("G3", 5)])
     def test_monomials_are_integrated_exactly(self, name, degree):
-        w = getattr(self, name)
+        w, nodes = getattr(self, name), getattr(self, self.RULE_NODES[name])
         for k in range(degree + 1):
             exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            assert abs(math.fsum(w * self.NODES ** k) - exact) <= 1e-15, k
+            assert abs(math.fsum(w * nodes ** k) - exact) <= 1e-15, k
 
     def test_g7_is_zero_on_the_kronrod_only_nodes(self):
         assert np.all(self.G7[0::2] == 0.0)
         assert np.all(self.G7[1::2] > 0.0)
+
+    def test_g3_is_zero_on_the_kronrod_only_nodes(self):
+        assert np.all(self.G3[0::2] == 0.0)
+        assert np.all(self.G3[1::2] > 0.0)
+
+    def test_k7_matches_mpmath(self):
+        # The Kronrod-only nodes are the roots of the Stieltjes polynomial
+        # x^4 + a x^2 + b, orthogonal to x P3 and x^3 P3 (P3 = (5x^3 - 3x)/2);
+        # the weights integrate 1, x, ..., x^6 exactly. Every constant is the
+        # 40-digit value rounded to the nearest double.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            def moment(j):  # integral of x^j over [-1, 1]
+                return mpmath.mpf(0) if j % 2 else mpmath.mpf(2) / (j + 1)
+
+            def with_p3(j):  # integral of x^j P3(x)
+                return (5 * moment(j + 3) - 3 * moment(j + 1)) / 2
+
+            a, b = mpmath.lu_solve(
+                mpmath.matrix([[with_p3(3), with_p3(1)], [with_p3(5), with_p3(3)]]),
+                mpmath.matrix([-with_p3(5), -with_p3(7)]))
+            disc = mpmath.sqrt(a * a - 4 * b)
+            outer, inner = mpmath.sqrt((-a + disc) / 2), mpmath.sqrt((-a - disc) / 2)
+            half = [outer, mpmath.sqrt(mpmath.mpf(3) / 5), inner]
+            nodes = half + [mpmath.mpf(0)] + [-x for x in reversed(half)]
+            kronrod = mpmath.lu_solve(
+                mpmath.matrix([[x ** k for x in nodes] for k in range(7)]),
+                mpmath.matrix([moment(k) for k in range(7)]))
+            want = [[float(x) for x in nodes], [float(w) for w in kronrod],
+                    [0.0, 5 / 9, 0.0, 8 / 9, 0.0, 5 / 9, 0.0]]
+        assert [list(rule) for rule in (self.NODES7, self.K7, self.G3)] == want
 
 
 class TestPathLength:
@@ -315,9 +356,8 @@ class TestPathLength:
         assert [g.hex() for g in got] == [w.hex() for w in want]
         assert want[0] == pytest.approx(distance_exact(SLIT, z1, z2).value, abs=1e-6)
 
-    def test_fifteen_density_evaluations_per_segment(self, monkeypatch):
-        # the 6000-segment polyline converges at depth 0: one K15 pass, no more
-        poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 6000)
+    @staticmethod
+    def _count_densities(monkeypatch):
         seen = []
         density_into = kobayashi._density_into
 
@@ -326,8 +366,24 @@ class TestPathLength:
             return density_into(domain, r, theta, out)
 
         monkeypatch.setattr(kobayashi, "_density_into", counting)
+        return seen
+
+    def test_seven_density_evaluations_per_segment(self, monkeypatch):
+        # the 6000-segment polyline passes at K7: one G3/K7 pass, no more
+        poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 6000)
+        seen = self._count_densities(monkeypatch)
         path_length(SLIT, poly)
-        assert sum(seen) == 15 * 6000
+        assert sum(seen) == 7 * 6000
+
+    def test_coarse_polyline_falls_back_to_k15_bits(self, monkeypatch):
+        # 4 segments of the same geodesic fail the K7 test; the G7/K15
+        # schedule that follows returns the bits it returns on its own
+        poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 4)
+        seen = self._count_densities(monkeypatch)
+        got = path_length(SLIT, poly)
+        assert sum(seen) > 7 * 4
+        assert (sum(seen) - 7 * 4) % (15 * 4) == 0
+        assert got.hex() == _sampled_path_length(SLIT, poly, k7_first=False).hex()
 
     def test_working_memory_is_bounded(self):
         poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 5999)
