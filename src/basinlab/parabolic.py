@@ -66,15 +66,18 @@ class ParabolicMap:
 
 
 def _horner(coefficients_desc, z, out=None):
-    # A Python scalar stays in Python complex arithmetic: the orbit of q is
-    # computed that way, and numpy's complex multiply rounds differently. Nor
-    # does numpy round alike at every length: the same operands can give
-    # other bits in a one-element array than in a longer one. An array result
-    # is accumulated in place, in `out` when the caller reuses a buffer.
+    # A Python scalar stays in Python complex arithmetic: forward_orbit, the
+    # orbit of q and the last live orbit of a classify_batch block are
+    # computed that way. numpy's complex multiply gives Python's bits on a
+    # one-element array, so a lone orbit keeps the bits it had in one, but
+    # not on longer arrays, where the same operands can round otherwise. An
+    # array result is accumulated in place, in `out` when the caller reuses
+    # a buffer.
     # Seeding r with the leading coefficient skips the step 0*z + c from
     # r = 0, which gives the same bits for finite z unless c has a negative-
     # zero part, and saves two passes over an array.
-    lead, *rest = coefficients_desc
+    coefficients = iter(coefficients_desc)
+    lead = next(coefficients)
     if not isinstance(z, np.ndarray):
         r = lead
     elif out is None:
@@ -82,7 +85,7 @@ def _horner(coefficients_desc, z, out=None):
     else:
         r = out
         r.fill(lead)
-    for c in rest:
+    for c in coefficients:
         r *= z
         r += c
     return r
@@ -192,8 +195,9 @@ def classify_direction(fm: ParabolicMap, z0: complex, n_max: int) -> OrbitRecord
 
     CONVERGED(j) once an iterate lies in a certified absorbing set of
     direction j, ESCAPED past the escape radius, UNDECIDED after n_max steps.
-    The points are forward_orbit's scalar re-iteration up to the deciding
-    step; they can differ in the last bits from the array iterates judged.
+    The points are forward_orbit's iteration up to the deciding step, and
+    they are the iterates judged: classify_batch steps a lone start in the
+    same Python complex arithmetic from step 1 on.
     """
     if n_max < 100:
         raise ValueError("n_max must be at least 100")
@@ -255,13 +259,18 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     buffer (at most _GROUP_ROOM iterates, never past step n_max), every row is
     tested at once, and each orbit is retired at its first event in step
     order: escape, entry into the gate, or landing on the fixed point. A full
-    block steps one step at a time. Every orbit is iterated and tested with
-    the same elementwise operations whatever its block, group or live set,
-    but not always to the same bits: numpy may round a complex multiply on a
-    one-element array differently from a longer one (see _horner), so an
-    orbit left alone in its live set can drift by rounding from the same
-    orbit in a larger set. A label is decided by entry into an absorbing
-    set, and no label or step count has been seen to move by this drift.
+    block steps one step at a time. Once one live orbit is left, it finishes
+    alone in Python complex arithmetic, one step at a time: f of a Python
+    complex, then the same tests in the same order and float operations,
+    with no numpy call per step except the gate's float pow for m >= 3
+    (_gate_terms). A one-point batch steps that way from step 1 on. Every
+    orbit is iterated and tested with the same elementwise operations
+    whatever its block, group or live set, but not always to the same bits:
+    numpy may round a complex multiply on a longer array differently from a
+    one-element array or Python (see _horner), so an orbit left alone can
+    drift by rounding from the same orbit in a larger set. A label is
+    decided by entry into an absorbing set, and no label or step count has
+    been seen to move by this drift.
     """
     from . import petals  # deferred: petals imports this module
 
@@ -297,6 +306,22 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
         last[col] = 0
         live -= col.size
 
+    def finish_alone(z, first):  # (label, step) of the orbit whose first - 1 iterate is z
+        for step in range(first, n_max + 1):
+            z = fm(z)
+            a2 = z.real * z.real + z.imag * z.imag
+            if not a2 <= r_esc2:  # nan and inf too; abs(z) could raise OverflowError
+                return LABEL_ESCAPED, step
+            if a2 <= inner2:
+                if a2 == 0:
+                    break
+                u, a2m, a2h = _gate_terms(z, a2, m, ma)
+                sector = a2h * cos_lim if a2 <= sector2 else -math.inf
+                if u.real <= max(a2m * half_lim, sector):
+                    label = 0 if m == 1 else _nearest_direction(np.array([z]), v_args)[0]
+                    return label, step
+        return LABEL_UNDECIDED, n_max
+
     with np.errstate(over="ignore", invalid="ignore"):  # overflow to inf/nan is escape
         for lo in range(0, size, _BLOCK):
             slots = live = min(_BLOCK, size - lo)
@@ -308,6 +333,10 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
             live_mask.fill(True)
             step, group, rows = 0, 1, cur  # step 0 judges the starts themselves
             while live and step <= n_max:
+                if live == 1 and step:  # the last live orbit of the block finishes alone
+                    j = np.argmax(live_mask)
+                    block_labels[idx[j]], block_steps[idx[j]] = finish_alone(complex(cur[j]), step)
+                    break
                 if step:  # rows[t] holds the iterates of step + t
                     group = min(_GROUP, max(1, _GROUP_ROOM // slots), n_max + 1 - step)
                     home, spare = spare, home
@@ -371,12 +400,7 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
                 if on0.size:
                     retire(on0, None)
                 if inside.size:
-                    if m == 1:
-                        retire(inside, 0)
-                    else:
-                        diff = np.abs(wrap_angle(np.angle(rows[inside])[:, None]
-                                                  - v_args[None, :]))
-                        retire(inside, np.argmin(diff, axis=1))
+                    retire(inside, 0 if m == 1 else _nearest_direction(rows[inside], v_args))
                 step += group
                 cur = last
                 if live and 2 * live < slots:
@@ -387,6 +411,27 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
                     live_mask = alive[:slots]
                     live_mask.fill(True)
     return labels, steps
+
+
+def _gate_terms(z: complex, a2: float, m: int, ma: complex) -> tuple:
+    """u = m a z^m, |z|^(2m) and |z|^m of one iterate z with |z|^2 = a2, to
+    the bits classify_batch's kernel gives them on a one-element array:
+    Python arithmetic where numpy rounds alike, a one-element np.power where
+    it may not (numpy's float pow can be a vectorized one of its own). Even
+    the out= form counts: an in-place np.square of a one-element complex
+    array rounds like Python, a fresh one can use a fused multiply-add."""
+    if m == 1:
+        return z * ma, a2, math.sqrt(a2)
+    if m == 2:
+        return z * z * ma, a2 * a2, a2
+    x = np.array([a2])
+    a2m = np.power(x, m).item()
+    return z ** m * ma, a2m, np.power(x, m / 2, out=x).item()
+
+
+def _nearest_direction(z: np.ndarray, v_args: np.ndarray) -> np.ndarray:
+    """Index of the attracting direction nearest in argument to each iterate."""
+    return np.argmin(np.abs(wrap_angle(np.angle(z)[:, None] - v_args[None, :])), axis=1)
 
 
 # ---------------------------------------------------------------------------

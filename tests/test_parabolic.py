@@ -17,7 +17,7 @@ from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
 from basinlab.kobayashi import wrap_angle
 from basinlab.parabolic import (_BLOCK, _GROUP, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
-                                 ParabolicMap, attraction_vectors,
+                                 ParabolicMap, _gate_terms, attraction_vectors,
                                  classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
@@ -158,6 +158,29 @@ class TestClassifyDirection:
         assert rec.status is status.get(int(labels[0]), OrbitStatus.CONVERGED)
         assert rec.direction == (int(labels[0]) if rec.converged else None)
         assert len(rec.points) == int(steps[0]) + 1
+
+    @pytest.mark.parametrize("map_name,z0,n_max", [
+        ("quad_map", -0.5, 10 ** 4), ("quad_map", 0.01j, 10 ** 5), ("perturbed_map", 0.0007, 1000),
+        ("cubic_map", 0.02 - 0.001j, 10 ** 4), ("quad_map", 0.3, 1000),
+        ("perturbed_map", 0.0007, 10 ** 4)])
+    def test_points_are_the_judged_iterates(self, request, map_name, z0, n_max):
+        # classify_batch steps a lone start in Python complex arithmetic from
+        # step 1 on: the values it evaluates f at, then those forward_orbit
+        # evaluates f at, are the orbit's points, twice over
+        class RecordingMap(ParabolicMap):
+            def __call__(self, z, out=None):
+                seen.append(z)
+                return super().__call__(z, out)
+
+        seen = []
+        fm = RecordingMap(*dataclasses.astuple(request.getfixturevalue(map_name)[0]))
+        petals.membership_petal(fm)
+        petals.half_plane_radius(fm)
+        seen.clear()
+        rec = classify_direction(fm, z0, n_max)
+        assert len(rec.points) > 2 and all(type(z) is complex for z in seen)
+        assert (np.array(seen).tobytes()
+                == np.array(rec.points[:-1] + rec.points[:-1]).tobytes())
 
 
 def _grid_points(window, resolution):
@@ -399,37 +422,177 @@ class TestHalfPlaneGate:
         assert np.sum(steps[old_labels >= 0]) < np.sum(old_steps[old_labels >= 0])
 
 
+def _counting_map(fm):
+    """A copy of fm that counts its evaluations on arrays and on Python
+    scalars; the petal data is built first, so only the classifier's own
+    evaluations are counted."""
+    class CountingMap(ParabolicMap):
+        def __call__(self, z, out=None):
+            calls["array" if isinstance(z, np.ndarray) else "scalar"] += 1
+            return super().__call__(z, out)
+
+    calls = {"array": 0, "scalar": 0}
+    counted = CountingMap(*dataclasses.astuple(fm))
+    petals.membership_petal(counted)
+    petals.half_plane_radius(counted)
+    calls.update(array=0, scalar=0)
+    return counted, calls
+
+
 class TestTail:
     # Three pixels of the prop3 1024-pixel raster of z + z^2 + z^3 on the
     # repelling real axis, 1.4e-4 to 7.4e-4 from the vertex: they leave
     # after about 1/x steps and are the last live orbits of their block.
+    # Once the last one is alone it steps in Python complex arithmetic, one
+    # scalar evaluation per step; until then each step of the live set is
+    # one evaluation on an array. The counts are the classifier's work.
     FIRST = 309258
     ESCAPES = [7264, 2292, 1361]
 
     @pytest.fixture(scope="class")
     def raster(self, perturbed_map):
-        return perturbed_map[0], _grid_points(_axis_sampling_window(0.3, 0.3, 1024), 1024)
+        fm, calls = _counting_map(perturbed_map[0])
+        return fm, _grid_points(_axis_sampling_window(0.3, 0.3, 1024), 1024), calls
 
     def test_alone(self, raster):
-        fm, z = raster
+        fm, z, calls = raster
+        calls.update(array=0, scalar=0)
         labels, steps = classify_batch(fm, z[self.FIRST:self.FIRST + 3], 10000)
         assert labels.tolist() == [LABEL_ESCAPED] * 3
         assert steps.tolist() == self.ESCAPES
+        # the group of 64 steps that retires 2292 runs to 2304
+        assert calls == {"array": 2304, "scalar": 4960}
 
     def test_in_their_block(self, raster):
-        fm, z = raster
+        fm, z, calls = raster
         lo = 9 * _BLOCK
+        calls.update(array=0, scalar=0)
         labels, steps = classify_batch(fm, z[lo:lo + _BLOCK], 10000)
         at = self.FIRST - lo
         assert labels[at:at + 3].tolist() == [LABEL_ESCAPED] * 3
         assert steps[at:at + 3].tolist() == self.ESCAPES
         assert np.sort(steps)[-3:].tolist() == sorted(self.ESCAPES)
+        assert calls == {"array": 2306, "scalar": 4958}
 
     def test_budget_one_short(self, raster):
-        fm, z = raster
+        fm, z, _ = raster
         labels, steps = classify_batch(fm, z[self.FIRST:self.FIRST + 3], self.ESCAPES[0] - 1)
         assert labels.tolist() == [LABEL_UNDECIDED, LABEL_ESCAPED, LABEL_ESCAPED]
         assert steps.tolist() == [self.ESCAPES[0] - 1] + self.ESCAPES[1:]
+
+    @pytest.mark.parametrize("n_max,label", [(7264, LABEL_ESCAPED), (7263, LABEL_UNDECIDED)])
+    def test_lone_budget_at_the_escape_step(self, raster, n_max, label):
+        fm, z, calls = raster
+        calls.update(array=0, scalar=0)
+        labels, steps = classify_batch(fm, z[self.FIRST:self.FIRST + 1], n_max)
+        assert (labels.tolist(), steps.tolist()) == ([label], [n_max])
+        assert calls == {"array": 0, "scalar": n_max}
+
+
+class TestLoneOrbit:
+    # classify_batch finishes the last live orbit of a block in Python
+    # complex arithmetic. A lone orbit used to step in a one-element array,
+    # so its labels and steps stay the same only if the scalar code gives
+    # the one-element array's bits: the Horner step, |z|^2 and the gate's
+    # terms. Points at every scale from 1e-4 to 1 around the vertex; m = 1
+    # to 4 and a complex coefficient.
+    MAPS = [[0, 1, 1], [0, 1, 0, 1], [0, 1, 0, 0, 1], [0, 1, 1, 1], [0, 1, 0, 0, 0, 1],
+            [0, 1, -0.3 + 0.2j, 0.5]]
+
+    @staticmethod
+    def _points(coefficients):
+        rng = np.random.default_rng([len(coefficients), int(np.count_nonzero(coefficients))])
+        z = rng.uniform(-1.5, 1.0, 10 ** 4) + 1j * rng.uniform(-1.2, 1.2, 10 ** 4)
+        return z * np.exp(rng.uniform(math.log(1e-4), 0.0, z.size))
+
+    @pytest.mark.parametrize("coefficients", MAPS)
+    def test_scalar_horner_is_the_one_element_array(self, coefficients):
+        fm, _ = analyze_parabolic(coefficients)
+        z = self._points(coefficients)
+        scalar = np.array([fm(complex(w)) for w in z])
+        one = np.concatenate([fm(z[i:i + 1]) for i in range(z.size)])
+        assert scalar.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("coefficients", MAPS)
+    def test_gate_terms_are_the_kernels(self, coefficients):
+        # the kernel's operations on a one-element candidate, in place where
+        # the kernel works in place
+        fm, _ = analyze_parabolic(coefficients)
+        m, ma = fm.m, fm.m * fm.a
+        half_lim = -petals.half_plane_radius(fm) * abs(ma) ** 2
+        cos_lim = math.cos(petals.membership_petal(fm).gap_omega) * abs(ma)
+        for w in self._points(coefficients):
+            zc = np.array([w])
+            sq = np.empty(1, dtype=complex)
+            np.square(zc.view(float), out=sq.view(float))
+            rc = np.add(sq.real, sq.imag)
+            u = zc.copy()
+            if m == 1:
+                np.multiply(u, ma, out=u)
+            else:
+                np.square(u, out=u) if m == 2 else np.power(u, m, out=u)
+                u *= ma
+            lim = np.empty(1)
+            if m == 1:
+                np.multiply(rc, half_lim, out=lim)
+            else:
+                np.square(rc, out=lim) if m == 2 else np.power(rc, m, out=lim)
+                lim *= half_lim
+            sector = rc.copy()
+            np.sqrt(sector, out=sector) if m == 1 else np.power(sector, m / 2, out=sector)
+            sector *= cos_lim
+
+            w = complex(w)
+            a2 = w.real * w.real + w.imag * w.imag
+            assert a2.hex() == rc[0].hex()
+            u_s, a2m, a2h = _gate_terms(w, a2, m, ma)
+            assert np.array([u_s]).tobytes() == u.tobytes()
+            assert (a2m * half_lim).hex() == lim[0].hex()
+            assert (a2h * cos_lim).hex() == sector[0].hex()
+
+    @pytest.mark.parametrize("coefficients", [[0, 1, 1], [0, 1, 0, 1]])
+    @pytest.mark.parametrize("start", [1e300, 1e300 + 1e300j, np.inf, np.nan])
+    def test_non_finite_start_escapes_at_step_one(self, coefficients, start):
+        fm, _ = analyze_parabolic(coefficients)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, steps = classify_batch(fm, np.array([start]), 100)
+        assert (labels.tolist(), steps.tolist()) == ([LABEL_ESCAPED], [1])
+
+    def test_preimage_of_the_fixed_point_stays_undecided(self, quad_map):
+        fm, calls = _counting_map(quad_map[0])
+        labels, steps = classify_batch(fm, np.array([-1.0]), 10 ** 6)
+        assert (labels.tolist(), steps.tolist()) == ([LABEL_UNDECIDED], [10 ** 6])
+        assert calls == {"array": 0, "scalar": 1}
+
+    @pytest.mark.parametrize("n_max,label", [(2, 0), (1, LABEL_UNDECIDED)])
+    def test_lone_budget_at_the_absorption_step(self, quad_map, n_max, label):
+        fm, _ = quad_map
+        labels, steps = classify_batch(fm, np.array([-0.5]), n_max)
+        assert (labels.tolist(), steps.tolist()) == ([label], [n_max])
+
+    @pytest.mark.parametrize("coefficients,slow,label,step", [
+        ([0, 1, 0, 1], 0.02 - 0.001j, 1, 1163), ([0, 1, 0, 1], 0.02 + 1e-6j, LABEL_ESCAPED, 1257),
+        ([0, 1, 0, 0, 1], 0.06 - 0.001j, 2, 1513),
+        ([0, 1, 0, 0, 1], 0.06 + 1e-6j, LABEL_ESCAPED, 1550)])
+    def test_slow_orbit_outliving_its_batch(self, coefficients, slow, label, step):
+        # one orbit near a repelling direction among about 2,000 that all
+        # resolve within 100 steps; the reference steps it in a 2,000-element
+        # array all the way
+        fm, calls = _counting_map(analyze_parabolic(coefficients)[0])
+        rng = np.random.default_rng([len(coefficients), 2000])
+        z = rng.uniform(-1.5, 1.0, 2000) + 1j * rng.uniform(-1.2, 1.2, 2000)
+        z = z[np.abs(z) > 0.25]
+        z[7] = slow
+        labels, steps = classify_batch(fm, z, 4000)
+        # every step of the slow orbit is evaluated once: in arrays while the
+        # others live (at most one group of _GROUP steps longer), then alone
+        assert calls["array"] + calls["scalar"] == step and calls["array"] < 100 + _GROUP
+        ref_labels, ref_steps = _reference_classify(fm, z, 4000)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(steps, ref_steps)
+        assert (labels[7], steps[7]) == (label, step)
+        assert np.delete(steps, 7).max() < 100
 
 
 class TestLemmaAsymptotics:
