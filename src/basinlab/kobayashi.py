@@ -31,23 +31,18 @@ from .errors import (BadRadii, NonPositiveImaginary, NumericOverflow,
                      OutsideDomain, PathExitsDomain, SmallRealPart)
 
 _ANG_GUARD = 1e-12  # absolute margin (radians) from each boundary ray
-# The Gauss-Kronrod pair G3/K7 on [-1, 1], tried once before G7/K15: the 7
-# Kronrod nodes, the K7 weights, and the G3 weights, zero on the 4
-# Kronrod-only nodes.
-_GK7_NODES = (
-    0.960491268708020283423507092629080, 0.774596669241483377035853079956480,
-    0.434243749346802558002071502844628, 0.0,
-    -0.434243749346802558002071502844628, -0.774596669241483377035853079956480,
-    -0.960491268708020283423507092629080)
-_K7_WEIGHTS = (
-    0.104656226026467265193823857192073, 0.268488089868333440728569280666710,
-    0.401397414775962222905051818618432, 0.450916538658474142345110087045571,
-    0.401397414775962222905051818618432, 0.268488089868333440728569280666710,
-    0.104656226026467265193823857192073)
-_G3_WEIGHTS = (
-    0.0, 0.555555555555555555555555555555556,
-    0.0, 0.888888888888888888888888888888889,
-    0.0, 0.555555555555555555555555555555556, 0.0)
+# The Gauss-Kronrod pair G2/K5 on [-1, 1], tried once before G7/K15: the 5
+# Kronrod nodes (+-sqrt(6/7), +-1/sqrt(3), 0), the K5 weights (98/495, 27/55,
+# 28/45), and the G2 weights, zero on the 3 Kronrod-only nodes.
+_GK5_NODES = (
+    0.9258200997725514615665667765839995225293, 0.5773502691896257645091487805019574556476,
+    0.0,
+    -0.5773502691896257645091487805019574556476, -0.9258200997725514615665667765839995225293)
+_K5_WEIGHTS = (
+    0.1979797979797979797979797979797979797980, 0.4909090909090909090909090909090909090909,
+    0.6222222222222222222222222222222222222222,
+    0.4909090909090909090909090909090909090909, 0.1979797979797979797979797979797979797980)
+_G2_WEIGHTS = (0.0, 1.0, 0.0, 1.0, 0.0)
 # The Gauss-Kronrod pair G7/K15 of QUADPACK's qk15 on [-1, 1]: the 15 Kronrod
 # nodes, the K15 weights, and the G7 weights, zero on the 8 Kronrod-only nodes.
 _GK15_NODES = (
@@ -76,10 +71,9 @@ _G7_WEIGHTS = (
     0.0, 0.381830050505118944950369775488975,
     0.0, 0.279705391489276667901467771423780,
     0.0, 0.129484966168869693270611432679082, 0.0)
-# Bound on the summed |K7 - G3| or |K15 - G7| of a polyline. On the 64
-# metric-paths polylines every polyline meets it at K7, with the lengths
-# within 2.1e-16 relative of the G7/K15 ones, which are within 4e-16 relative
-# of a 16-point Gauss-Legendre rule refined to depth 1.
+# Bound on the summed |K5 - G2| or |K15 - G7| of a polyline. On the 64
+# metric-paths polylines every polyline meets it at K5, with the lengths
+# within 3.6e-16 relative of the G7/K15 ones.
 _PATH_RTOL, _PATH_ATOL = 1e-11, 1e-12
 _PATH_MAX_DEPTH = 12  # at most 2**12 subintervals per segment
 
@@ -94,11 +88,13 @@ def lift_angle(ang, low: float, flag=None, wrap=None):
     arithmetic; an array is overwritten and returned, flag (bool) and wrap
     (float) being optional scratch of its shape. np.fmod plus 2pi times the
     sign flag of the remainder equals Python's %, bit for bit, also for a zero
-    remainder of either sign, and is several times faster."""
+    remainder of either sign, and is several times faster. fmod is skipped
+    when the shifted block lies in (-2pi, 2pi), where it is the identity."""
     if not isinstance(ang, np.ndarray):
         return low + (ang - low) % math.tau
     np.subtract(ang, low, out=ang)
-    np.fmod(ang, math.tau, out=ang)
+    if not (ang.size and -math.tau < ang.min() and ang.max() < math.tau):
+        np.fmod(ang, math.tau, out=ang)
     flag = np.less(ang, 0.0, out=flag)
     ang += np.multiply(flag, math.tau, out=wrap)
     ang += low
@@ -188,19 +184,26 @@ def density(domain: ModelDomain, p) -> float:
     power chart.
     """
     r, theta = domain.to_rtheta(p)
-    return float(_density_into(domain, r, theta, np.empty(())))
+    return float(_density_into(domain, r, np.array(theta), np.empty(())))
 
 
-def _density_into(domain: ModelDomain, r, theta, out: np.ndarray) -> np.ndarray:
-    """density at (r, theta), elementwise, written into out in the order
-    (pi/h) / (r * sin(pi * (theta - lo) / h))."""
-    h = domain.width
+def _density_into(domain: ModelDomain, r, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """density at (r, theta), elementwise, written into out; theta is
+    overwritten. With d = min(theta - lo, hi - theta), the distance to the
+    nearer boundary ray, c = pi/(2h) and s = tan(c d), 1/sin(2 c d) =
+    (s + 1/s)/2, so the density is c (s + 1/s) / r, evaluated in that order.
+    Each difference is exact near its own ray, where 1/sin amplifies the
+    rounding of its argument; the tangent costs a fraction of a sine."""
+    c = math.pi / (2.0 * domain.width)
     np.subtract(theta, domain.arg_low, out=out)
-    np.multiply(math.pi, out, out=out)
-    np.divide(out, h, out=out)
-    np.sin(out, out=out)
-    np.multiply(r, out, out=out)
-    np.divide(math.pi / h, out, out=out)
+    np.subtract(domain.arg_high, theta, out=theta)
+    np.minimum(out, theta, out=out)
+    np.multiply(c, out, out=out)
+    np.tan(out, out=out)
+    np.reciprocal(out, out=theta)
+    np.add(out, theta, out=out)
+    np.multiply(c, out, out=out)
+    np.divide(out, r, out=out)
     return out
 
 
@@ -333,14 +336,13 @@ def _chord_rtheta(domain: ModelDomain, za, zb, tha, t: np.ndarray,
 
 
 # Quadrature nodes per block (fewer when one segment has more nodes). The 64
-# metric-paths polylines all pass at K7, 7 nodes per segment; there (Xeon,
+# metric-paths polylines all pass at K5, 5 nodes per segment; there (Xeon,
 # 2 MB L2 per core; median of 9 passes, in each of 3 processes) a pass takes
-# 0.061-0.070 s at 4 K nodes with no minor faults after the first pass,
-# 0.074-0.077 s at 8 K with about 4.8 K faults on every pass, 0.080-0.109 s
-# at 16 K and 0.080-0.107 s with the whole polyline in one block, each with
-# 10-11 K faults on every pass. With G7/K15 alone, 15 nodes per segment, 8 K
-# was the fastest: 0.119 s against 0.127 s at 4 K.
-_NODE_BLOCK = 1 << 13
+# 0.060-0.068 s at 2 K nodes with about 560 minor faults per pass,
+# 0.051-0.058 s at 4 K with about 950, 0.063-0.068 s at 8 K with about 7.1 K
+# and 0.062-0.073 s at 16 K with about 10.5 K. With G7/K15 alone, 15 nodes
+# per segment, 8 K is faster: 0.107-0.123 s against 0.138-0.143 s at 4 K.
+_NODE_BLOCK = 1 << 12
 
 
 def path_length(domain: ModelDomain, vertices) -> float:
@@ -353,14 +355,14 @@ def path_length(domain: ModelDomain, vertices) -> float:
     lift plus that turn lands on the end lift within 1e-6.
 
     Segments are integrated all together, following one schedule: the
-    Gauss-Kronrod pair G3/K7 over each whole segment, then the composite pair
+    Gauss-Kronrod pair G2/K5 over each whole segment, then the composite pair
     G7/K15 over 2**depth equal pieces, from depth 0 up. Each pass gives the
-    Kronrod and the embedded Gauss integral of every segment, from 7 or 15
+    Kronrod and the embedded Gauss integral of every segment, from 5 or 15
     densities per piece; the Kronrod total is returned once the summed
     |Kronrod - Gauss| over all segments, each times its chord length, is at
     most max(_PATH_ATOL, _PATH_RTOL * |total|). That sum of absolute
-    differences cannot cancel across segments. A fine polyline passes at K7,
-    with 7 densities per segment; a coarse one costs at most 7 more per
+    differences cannot cancel across segments. A fine polyline passes at K5,
+    with 5 densities per segment; a coarse one costs at most 5 more per
     segment than G7/K15 alone, whose totals it returns bit for bit. Past
     _PATH_MAX_DEPTH the last total is returned unconverged. The nodes are
     evaluated over blocks of about _NODE_BLOCK and every node is checked to
@@ -382,9 +384,9 @@ def path_length(domain: ModelDomain, vertices) -> float:
     chord = np.abs(zb - za)
     n_seg = za.size
 
-    k7 = np.array(_GK7_NODES), np.array((_K7_WEIGHTS, _G3_WEIGHTS)).T
+    k5 = np.array(_GK5_NODES), np.array((_K5_WEIGHTS, _G2_WEIGHTS)).T
     k15 = np.array(_GK15_NODES), np.array((_K15_WEIGHTS, _G7_WEIGHTS)).T
-    for (nodes, kg), depth in [(k7, 0)] + [(k15, d) for d in range(_PATH_MAX_DEPTH + 1)]:
+    for (nodes, kg), depth in [(k5, 0)] + [(k15, d) for d in range(_PATH_MAX_DEPTH + 1)]:
         pieces = 2 ** depth
         edges = np.linspace(0.0, 1.0, pieces + 1)
         mid = (edges[:-1, None] + edges[1:, None]) / 2.0
@@ -429,8 +431,11 @@ def _geodesic_w(domain: ModelDomain, p1, p2, n: int) -> np.ndarray:
     phi2 = math.atan2(y2, x2 - c)
     ss = np.linspace(math.log(math.tan(phi1 / 2.0)),
                      math.log(math.tan(phi2 / 2.0)), n + 1)
-    phi = 2.0 * np.arctan(np.exp(ss))
-    return c + rad * np.exp(1j * phi)
+    # at phi = 2 atan(e^s): cos phi = -tanh s and sin phi = 1/cosh s
+    ws = np.empty(n + 1, dtype=complex)
+    ws.real = c - rad * np.tanh(ss)
+    ws.imag = rad / np.cosh(ss)
+    return ws
 
 
 def geodesic_polyline(domain: ModelDomain, p1, p2, n: int) -> list | np.ndarray:
@@ -444,7 +449,13 @@ def geodesic_polyline(domain: ModelDomain, p1, p2, n: int) -> list | np.ndarray:
         pts: list = [LiftedPoint(float(a), float(b)) for a, b in zip(r, theta)]
         pts[0], pts[-1] = p1, p2
         return pts
-    pts = r * np.exp(1j * theta)
+    # e^(i theta) from t = tan(theta/2), which stays finite in floats
+    t = np.tan(theta / 2.0)
+    t2 = t * t
+    scale = r / (1.0 + t2)
+    pts = np.empty(n + 1, dtype=complex)
+    pts.real = scale * (1.0 - t2)
+    pts.imag = scale * (2.0 * t)
     pts[0], pts[-1] = (p.to_complex() if isinstance(p, LiftedPoint) else p for p in (p1, p2))
     return pts
 

@@ -245,6 +245,18 @@ class TheoremCertificate:
         return "\n".join(lines) + "\n"
 
 
+def _witness_index(dist: np.ndarray, values: np.ndarray, certified: np.ndarray) -> int:
+    """The certified point first in np.lexsort((im, re, dist)) order, nan
+    last in each key and ties kept in index order, without sorting them all:
+    only the points at the least distance are sorted. certified has a True."""
+    cand = np.flatnonzero(certified)
+    d = dist[cand]
+    low = np.fmin.reduce(d)  # nan only when every distance is nan
+    ties = cand[d == low] if low == low else cand
+    order = np.lexsort((values[ties].imag, values[ties].real))
+    return int(ties[order[0]])
+
+
 def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
                    l_max: int = 10, direction: int | None = 0) -> TheoremCertificate:
     """Produce a certificate that min over the truncated Q of the exact
@@ -267,11 +279,8 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
 
     certified = inside
     if certified.any():
-        dvals = dist[certified]
-        global_min = float(dvals.min())
-        cand = np.flatnonzero(certified)
-        order = np.lexsort((values[cand].imag, values[cand].real, dist[cand]))
-        witness = int(cand[order[0]])
+        global_min = float(dist[certified].min())
+        witness = _witness_index(dist, values, certified)
     else:
         global_min = math.inf
         witness = 0

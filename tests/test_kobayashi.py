@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ H = ModelDomain.half_plane()
 SLIT = ModelDomain.slit_plane()
 
 
-def _sampled_path_length(domain, vertices, k7_first=True):
+def _sampled_path_length(domain, vertices, k5_first=True):
     """Reference path_length with the sampled segment check: 32 interior
     samples per segment must lie inside, their normalized arguments may not
     jump by pi or more, and on a double sector the argument continued along
     the samples must land on the declared lift. Every node of a depth is
-    evaluated at once. The schedule is path_length's: one G3/K7 pass, then
-    G7/K15 from depth 0 up; k7_first=False skips the G3/K7 pass."""
+    evaluated at once. The schedule is path_length's: one G2/K5 pass, then
+    G7/K15 from depth 0 up; k5_first=False skips the G2/K5 pass. The density
+    is path_length's formula, written out."""
     zs, thetas = _vertex_arrays(domain, vertices)
     za, zb, tha, thb = zs[:-1], zs[1:], thetas[:-1], thetas[1:]
     two_pi = 2.0 * math.pi
@@ -59,13 +61,13 @@ def _sampled_path_length(domain, vertices, k7_first=True):
             raise PathExitsDomain("argument lift mismatch along segment")
 
     chord = np.abs(zb - za)
-    h, lo = domain.width, domain.arg_low
-    k7 = (np.array(kobayashi._GK7_NODES),
-          np.array((kobayashi._K7_WEIGHTS, kobayashi._G3_WEIGHTS)).T)
+    c = math.pi / (2.0 * domain.width)
+    k5 = (np.array(kobayashi._GK5_NODES),
+          np.array((kobayashi._K5_WEIGHTS, kobayashi._G2_WEIGHTS)).T)
     k15 = (np.array(kobayashi._GK15_NODES),
            np.array((kobayashi._K15_WEIGHTS, kobayashi._G7_WEIGHTS)).T)
     schedule = [(k15, d) for d in range(kobayashi._PATH_MAX_DEPTH + 1)]
-    for (nodes, kg), depth in ([(k7, 0)] if k7_first else []) + schedule:
+    for (nodes, kg), depth in ([(k5, 0)] if k5_first else []) + schedule:
         edges = np.linspace(0.0, 1.0, 2 ** depth + 1)
         mid = (edges[:-1, None] + edges[1:, None]) / 2.0
         half = (edges[1:, None] - edges[:-1, None]) / 2.0
@@ -74,7 +76,8 @@ def _sampled_path_length(domain, vertices, k7_first=True):
         r, theta = chord_rtheta(t)
         if not np.all(domain.contains_rtheta(r, theta)):
             raise PathExitsDomain("quadrature node left the domain")
-        dens = (math.pi / h) / (r * np.sin(math.pi * (theta - lo) / h))
+        s = np.tan(c * np.minimum(theta - domain.arg_low, domain.arg_high - theta))
+        dens = c * (s + 1.0 / s) / r
         kq, gq = (dens @ wts).T
         total = float(np.sum(chord * kq))
         err = float(np.sum(chord * np.abs(kq - gq)))
@@ -138,6 +141,104 @@ class TestDensity:
     def test_diverges_at_boundary(self):
         vals = [density(SLIT, cmath.exp(1j * t)) for t in (0.1, 0.01, 0.001)]
         assert vals[0] < vals[1] < vals[2]
+
+
+# one domain of each kind, each with a width hi - lo that is exact in floats
+ALL_KINDS = [H, SLIT, ModelDomain.sector(-0.5, 5.5), ModelDomain.double_sector(-0.25, 6.5)]
+
+
+def _boundary_sample(domain, seed):
+    """Arguments spread over the domain plus 1e-12 to 1e-3 rad from each
+    boundary ray (those within the guard dropped), with radii e^(+-3)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.arg_low, domain.arg_high
+    offsets = 10.0 ** np.linspace(-12.0, -3.0, 37)
+    theta = np.r_[rng.uniform(lo, hi, 200), lo + offsets, hi - offsets]
+    theta = theta[domain.contains_rtheta(1.0, theta)]
+    return np.exp(rng.uniform(-3.0, 3.0, theta.size)), theta
+
+
+class TestDensityAccuracy:
+    # The density is c (s + 1/s) / r with c = pi/(2h), s = tan(c d), up to
+    # eight roundings (c, d away from its ray, c d, the tangent, 1/s, the
+    # sum, the product with c, the quotient by r). The largest error seen on
+    # 6,000 points per domain is 3.1 ulps. The sine formula
+    # (pi/h) / (r sin(pi (theta - lo) / h)) is off by 1e11 ulps and more
+    # next to the upper ray, where the sine amplifies the rounding of its
+    # argument.
+    ULPS = 4.0
+
+    @staticmethod
+    def _ulps(domain, r, theta, got):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            lo, width = mpmath.mpf(domain.arg_low), mpmath.mpf(domain.arg_high) - domain.arg_low
+            assert width == domain.width  # the domains are chosen so
+            want = [(mpmath.pi / width)
+                    / (mpmath.mpf(a) * mpmath.sin(mpmath.pi * (mpmath.mpf(b) - lo) / width))
+                    for a, b in zip(r.tolist(), theta.tolist())]
+            return [float(abs(g - w)) / math.ulp(float(w)) for g, w in zip(got, want)]
+
+    @pytest.mark.parametrize("domain", ALL_KINDS, ids=lambda d: d.tag)
+    def test_array_within_ulps_of_mpmath(self, domain):
+        r, theta = _boundary_sample(domain, seed=51)
+        assert theta.size > 250
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kobayashi._density_into(domain, r, theta.copy(), np.empty(theta.size))
+        assert max(self._ulps(domain, r, theta, got.tolist())) <= self.ULPS
+
+    @pytest.mark.parametrize("domain", ALL_KINDS, ids=lambda d: d.tag)
+    def test_scalar_within_ulps_of_mpmath(self, domain):
+        r, theta = _boundary_sample(domain, seed=52)
+        r, theta = r[::8], theta[::8]
+        got = [density(domain, LiftedPoint(a, b)) for a, b in zip(r.tolist(), theta.tolist())]
+        assert max(self._ulps(domain, r, theta, got)) <= self.ULPS
+
+
+class TestGeodesic:
+    ARCS = [(H, -3 + 0.01j, 2 + 5j), (H, 1e-3 + 2j, 40 + 1e-6j),
+            (SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j)),
+            (SLIT, cmath.exp(1e-6j), cmath.exp(-1e-6j)),
+            (ModelDomain.sector(-0.5, 5.5), 0.4 * cmath.exp(-0.49j), 3.0 * cmath.exp(5.0j)),
+            (ModelDomain.double_sector(-0.25, 6.5), LiftedPoint(1.0, -0.2), LiftedPoint(2.0, 6.4)),
+            (ModelDomain.double_sector(-0.25, 6.5), LiftedPoint(0.3, 0.1), LiftedPoint(0.3, 6.2))]
+
+    @pytest.mark.parametrize("domain, p1, p2", ARCS)
+    def test_chart_samples_match_the_mpmath_arc(self, domain, p1, p2):
+        # the arc w = c + R e^(i phi), phi = 2 atan(e^s), at the same s grid
+        mpmath = pytest.importorskip("mpmath")
+        n = 64
+        w1, w2 = kobayashi.chart(domain, p1), kobayashi.chart(domain, p2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ws = kobayashi._geodesic_w(domain, p1, p2, n)
+        c = (abs(w2) ** 2 - abs(w1) ** 2) / (2.0 * (w2.real - w1.real))
+        rad = abs(w1 - c)
+        ss = np.linspace(math.log(math.tan(math.atan2(w1.imag, w1.real - c) / 2.0)),
+                         math.log(math.tan(math.atan2(w2.imag, w2.real - c) / 2.0)), n + 1)
+        with mpmath.workdps(40):
+            for w, s in zip(ws.tolist(), ss.tolist()):
+                want = c + rad * mpmath.exp(2j * mpmath.atan(mpmath.exp(s)))
+                assert abs(w.real - want.real) <= 4 * 2.0 ** -53 * (abs(c) + rad)
+                assert abs(w.imag - want.imag) <= 4 * 2.0 ** -53 * abs(want.imag)
+
+    @pytest.mark.parametrize("domain, p1, p2", ARCS + [(H, 1j, 2j), (SLIT, -1, -4)])
+    def test_polyline_vertices_lie_inside_at_equal_steps(self, domain, p1, p2):
+        n = 200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            poly = geodesic_polyline(domain, p1, p2, n)
+        if domain.tag == "double_sector":
+            r = np.array([p.r for p in poly])
+            theta = np.array([p.theta for p in poly])
+        else:
+            zs, theta = _vertex_arrays(domain, poly)
+            r = np.abs(zs)
+        assert np.all(domain.contains_rtheta(r, theta))
+        d = distance_exact(domain, p1, p2).value
+        steps = [distance_exact(domain, p1, poly[k]).value for k in range(0, n + 1, 20)]
+        assert steps == pytest.approx([d * k / n for k in range(0, n + 1, 20)], abs=1e-9)
 
 
 class TestDistance:
@@ -238,22 +339,22 @@ class TestGaussKronrodRule:
     NODES = np.array(kobayashi._GK15_NODES)
     K15 = np.array(kobayashi._K15_WEIGHTS)
     G7 = np.array(kobayashi._G7_WEIGHTS)
-    NODES7 = np.array(kobayashi._GK7_NODES)
-    K7 = np.array(kobayashi._K7_WEIGHTS)
-    G3 = np.array(kobayashi._G3_WEIGHTS)
-    RULE_NODES = {"K15": "NODES", "G7": "NODES", "K7": "NODES7", "G3": "NODES7"}
+    NODES5 = np.array(kobayashi._GK5_NODES)
+    K5 = np.array(kobayashi._K5_WEIGHTS)
+    G2 = np.array(kobayashi._G2_WEIGHTS)
+    RULE_NODES = {"K15": "NODES", "G7": "NODES", "K5": "NODES5", "G2": "NODES5"}
 
     def test_nodes_are_antisymmetric(self):
         assert self.NODES.size == self.K15.size == self.G7.size == 15
-        assert self.NODES7.size == self.K7.size == self.G3.size == 7
-        for nodes in (self.NODES, self.NODES7):
+        assert self.NODES5.size == self.K5.size == self.G2.size == 5
+        for nodes in (self.NODES, self.NODES5):
             assert np.array_equal(nodes, -nodes[::-1])
 
-    @pytest.mark.parametrize("name", ["K15", "G7", "K7", "G3"])
+    @pytest.mark.parametrize("name", ["K15", "G7", "K5", "G2"])
     def test_weights_sum_to_two(self, name):
         assert abs(math.fsum(getattr(self, name)) - 2.0) <= 1e-15
 
-    @pytest.mark.parametrize("name, degree", [("K15", 22), ("G7", 13), ("K7", 11), ("G3", 5)])
+    @pytest.mark.parametrize("name, degree", [("K15", 22), ("G7", 13), ("K5", 7), ("G2", 3)])
     def test_monomials_are_integrated_exactly(self, name, degree):
         w, nodes = getattr(self, name), getattr(self, self.RULE_NODES[name])
         for k in range(degree + 1):
@@ -264,36 +365,36 @@ class TestGaussKronrodRule:
         assert np.all(self.G7[0::2] == 0.0)
         assert np.all(self.G7[1::2] > 0.0)
 
-    def test_g3_is_zero_on_the_kronrod_only_nodes(self):
-        assert np.all(self.G3[0::2] == 0.0)
-        assert np.all(self.G3[1::2] > 0.0)
+    def test_g2_is_zero_on_the_kronrod_only_nodes(self):
+        assert np.all(self.G2[0::2] == 0.0)
+        assert np.all(self.G2[1::2] > 0.0)
 
-    def test_k7_matches_mpmath(self):
+    def test_k5_matches_mpmath(self):
         # The Kronrod-only nodes are the roots of the Stieltjes polynomial
-        # x^4 + a x^2 + b, orthogonal to x P3 and x^3 P3 (P3 = (5x^3 - 3x)/2);
-        # the weights integrate 1, x, ..., x^6 exactly. Every constant is the
-        # 40-digit value rounded to the nearest double.
+        # x^3 + a x, orthogonal to x P2 (P2 = (3x^2 - 1)/2), which makes
+        # a = -6/7; the weights integrate 1, x, ..., x^4 exactly. Every
+        # constant is the 40-digit value rounded to the nearest double.
         mpmath = pytest.importorskip("mpmath")
+
+        def moment(j):  # integral of x^j over [-1, 1], exactly
+            return Fraction(0) if j % 2 else Fraction(2, j + 1)
+
+        def with_p2(j):  # integral of x^j P2(x)
+            return (3 * moment(j + 2) - moment(j)) / 2
+
+        a = -with_p2(4) / with_p2(2)
+        assert a == Fraction(-6, 7)
         with mpmath.workdps(40):
-            def moment(j):  # integral of x^j over [-1, 1]
-                return mpmath.mpf(0) if j % 2 else mpmath.mpf(2) / (j + 1)
-
-            def with_p3(j):  # integral of x^j P3(x)
-                return (5 * moment(j + 3) - 3 * moment(j + 1)) / 2
-
-            a, b = mpmath.lu_solve(
-                mpmath.matrix([[with_p3(3), with_p3(1)], [with_p3(5), with_p3(3)]]),
-                mpmath.matrix([-with_p3(5), -with_p3(7)]))
-            disc = mpmath.sqrt(a * a - 4 * b)
-            outer, inner = mpmath.sqrt((-a + disc) / 2), mpmath.sqrt((-a - disc) / 2)
-            half = [outer, mpmath.sqrt(mpmath.mpf(3) / 5), inner]
+            half = [mpmath.sqrt(mpmath.mpf(-a.numerator) / a.denominator), 1 / mpmath.sqrt(3)]
             nodes = half + [mpmath.mpf(0)] + [-x for x in reversed(half)]
             kronrod = mpmath.lu_solve(
-                mpmath.matrix([[x ** k for x in nodes] for k in range(7)]),
-                mpmath.matrix([moment(k) for k in range(7)]))
+                mpmath.matrix([[x ** k for x in nodes] for k in range(5)]),
+                mpmath.matrix([mpmath.mpf(moment(k).numerator) / moment(k).denominator
+                               for k in range(5)]))
             want = [[float(x) for x in nodes], [float(w) for w in kronrod],
-                    [0.0, 5 / 9, 0.0, 8 / 9, 0.0, 5 / 9, 0.0]]
-        assert [list(rule) for rule in (self.NODES7, self.K7, self.G3)] == want
+                    [0.0, 1.0, 0.0, 1.0, 0.0]]
+            assert [float(w) for w in kronrod] == [98 / 495, 27 / 55, 28 / 45, 27 / 55, 98 / 495]
+        assert [list(rule) for rule in (self.NODES5, self.K5, self.G2)] == want
 
 
 class TestPathLength:
@@ -368,22 +469,22 @@ class TestPathLength:
         monkeypatch.setattr(kobayashi, "_density_into", counting)
         return seen
 
-    def test_seven_density_evaluations_per_segment(self, monkeypatch):
-        # the 6000-segment polyline passes at K7: one G3/K7 pass, no more
+    def test_five_density_evaluations_per_segment(self, monkeypatch):
+        # the 6000-segment polyline passes at K5: one G2/K5 pass, no more
         poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 6000)
         seen = self._count_densities(monkeypatch)
         path_length(SLIT, poly)
-        assert sum(seen) == 7 * 6000
+        assert sum(seen) == 5 * 6000
 
     def test_coarse_polyline_falls_back_to_k15_bits(self, monkeypatch):
-        # 4 segments of the same geodesic fail the K7 test; the G7/K15
+        # 4 segments of the same geodesic fail the K5 test; the G7/K15
         # schedule that follows returns the bits it returns on its own
         poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 4)
         seen = self._count_densities(monkeypatch)
         got = path_length(SLIT, poly)
-        assert sum(seen) > 7 * 4
-        assert (sum(seen) - 7 * 4) % (15 * 4) == 0
-        assert got.hex() == _sampled_path_length(SLIT, poly, k7_first=False).hex()
+        assert sum(seen) > 5 * 4
+        assert (sum(seen) - 5 * 4) % (15 * 4) == 0
+        assert got.hex() == _sampled_path_length(SLIT, poly, k5_first=False).hex()
 
     def test_working_memory_is_bounded(self):
         poly = geodesic_polyline(SLIT, 0.2 * cmath.exp(0.3j), 5.0 * cmath.exp(5.9j), 5999)
@@ -431,6 +532,27 @@ class TestPathLength:
         expected = np.array([low + (a - low) % (2 * math.pi) for a in ang.tolist()])
         floats = np.array([lift_angle(a, low) for a in ang.tolist()])
         assert lift_angle(ang, low).tobytes() == expected.tobytes() == floats.tobytes()
+
+    @pytest.mark.parametrize("low", [0.0, -0.3, -math.pi, 2.5])
+    @pytest.mark.parametrize("outlier", [None, "far", "+2pi", "-2pi"])
+    def test_lift_of_an_in_range_block_is_python_mod(self, low, outlier):
+        # ang - low within (-2pi, 2pi) skips fmod; one angle out of that
+        # range, even one shifted onto +-2pi exactly, sends the whole block
+        # through fmod
+        tau = 2 * math.pi
+        ang = np.r_[low + np.random.default_rng(5).uniform(-tau, tau, 500), low, 0.0, -0.0,
+                    np.nextafter(low + tau, low), np.nextafter(low - tau, low)]
+        ang = ang[np.abs(ang - low) < tau]  # an edge can round onto +-2pi
+        assert ang.size >= 501
+        if outlier == "far":
+            ang[250] = low + 3 * tau
+        elif outlier is not None:
+            sign = 1.0 if outlier == "+2pi" else -1.0
+            near = low + sign * tau
+            ang[250] = next(x for x in (near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf))
+                            if x - low == sign * tau)
+        expected = np.array([low + (a - low) % tau for a in ang.tolist()])
+        assert lift_angle(ang.copy(), low).tobytes() == expected.tobytes()
 
     def test_wrap_float_and_array_agree(self):
         ang = np.r_[np.random.default_rng(4).uniform(-20.0, 20.0, 500),

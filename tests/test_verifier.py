@@ -230,6 +230,44 @@ class TestVerifyTheorem:
             assert length >= small_cert.point_bounds[i] - 1e-9
         assert checked >= 80
 
+    @staticmethod
+    def _lexsort_witness(dist, values, certified):
+        # the full sort the witness is defined by
+        cand = np.flatnonzero(certified)
+        return int(cand[np.lexsort((values[cand].imag, values[cand].real, dist[cand]))[0]])
+
+    def test_witness_on_the_acceptance_certificates(self, quad_map, cubic_map):
+        for fm, q, k, l in ((quad_map[0], -0.5, 20, 10), (cubic_map[0], 0.3j, 15, 8)):
+            cert = verify_theorem(fm, 2.0, q, k, l, 0)
+            args = cert.point_bounds, cert.enumeration.value, cert.certified_mask
+            assert cert.witness_index == self._lexsort_witness(*args)
+            assert cert.point_bounds[cert.witness_index] == cert.global_min
+
+    def test_witness_keeps_lexsort_order_with_ties_and_nan(self):
+        rng = np.random.default_rng(41)
+        nan = math.nan
+        cases = [  # (dist, values, certified)
+            ([1.0, 0.5, 0.5, 0.5], [3 + 1j, 2 + 2j, 2 + 1j, 1 + 5j], [True] * 4),
+            ([0.5, 0.5, 0.5], [2 + 1j, 2 + 1j, 1 + 1j], [False, True, True]),
+            ([nan, 2.0, nan, 2.0], [0j, 1 + 1j, 0j, 1 + 0j], [True] * 4),
+            ([nan, nan, nan], [1 + 1j, 0 + 2j, 0 + 1j], [True] * 3),
+            ([0.0, -0.0, 1.0], [1j, 0j, 0j], [True] * 3),
+            ([1.0, 1.0, 1.0, 1.0], [complex(nan, 0), complex(0, nan), 0j, 0j], [True] * 4),
+            ([1.0, 1.0, 1.0], [complex(nan, 0), complex(nan, 1), complex(nan, -1)], [True] * 3),
+            ([2.0, math.inf, 1.0], [0j, 0j, 0j], [True, True, False]),
+        ]
+        for _ in range(200):  # heavy ties: few distinct distances and coordinates
+            n = int(rng.integers(1, 40))
+            dist = rng.choice([0.5, 1.0, 2.0, nan, math.inf], n)
+            values = np.empty(n, complex)  # 1j * nan would make the real part nan too
+            values.real, values.imag = rng.choice([0.0, 1.0, nan], n), rng.choice([0.0, -1.0, nan], n)
+            certified = rng.random(n) < 0.7
+            certified[rng.integers(n)] = True
+            cases.append((dist, values, certified))
+        for dist, values, certified in cases:
+            args = np.array(dist, float), np.array(values, complex), np.array(certified)
+            assert verifier._witness_index(*args) == self._lexsort_witness(*args)
+
     def test_json_round_trip(self, small_cert):
         import json
 
