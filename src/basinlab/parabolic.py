@@ -166,8 +166,11 @@ def _snap_axis(v: complex) -> complex:
 def attraction_vectors(fm: ParabolicMap) -> AttractionVectorSet:
     m, a = fm.m, fm.a
     rad = (1.0 / (m * abs(a))) ** (1.0 / m)
-    base_att = (math.pi - cmath.phase(a)) / m
-    base_rep = (-cmath.phase(a)) / m
+    # math.atan2, not cmath.phase: phase raises OverflowError where the angle
+    # underflows (a = 2 + 5e-324j)
+    arg_a = math.atan2(a.imag, a.real)
+    base_att = (math.pi - arg_a) / m
+    base_rep = -arg_a / m
     att = [_snap_axis(rad * cmath.exp(1j * (base_att + math.tau * j / m))) for j in range(m)]
     rep = [_snap_axis(rad * cmath.exp(1j * (base_rep + math.tau * j / m))) for j in range(m)]
     att.sort(key=lambda v: lift_angle(cmath.phase(v), 0.0))

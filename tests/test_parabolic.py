@@ -84,6 +84,13 @@ class TestAnalyze:
         for v, w in zip(vs.attraction, vs.attraction[1:]):
             assert abs(w / v - root) < 1e-12
 
+    @pytest.mark.parametrize("a", [complex(2.0, 5e-324), complex(-2.0, -5e-324)])
+    def test_coefficient_with_an_underflowing_angle(self, a):
+        # cmath.phase(2 + 5e-324j) raises OverflowError; the angle is 0 or pi
+        fm, vs = analyze_parabolic([0, 1, a, 0.0])
+        assert abs(fm.m * fm.a * vs.attraction[0] + 1) < 1e-12
+        assert abs(fm.m * fm.a * vs.repulsion[0] - 1) < 1e-12
+
 
 class TestForwardOrbit:
     def test_exact_prefix(self, quad_map):
