@@ -111,7 +111,7 @@ class LiftedPoint:
     @classmethod
     def from_complex(cls, z: complex, low: float = 0.0) -> "LiftedPoint":
         """Lift z with argument chosen in [low, low + 2pi)."""
-        return cls(abs(z), lift_angle(cmath.phase(z), low))
+        return cls(abs(z), lift_angle(math.atan2(z.imag, z.real), low))
 
     def to_complex(self) -> complex:
         return self.r * cmath.exp(1j * self.theta)
@@ -163,7 +163,7 @@ class ModelDomain:
             z = complex(p)
             if self.tag == "double_sector":
                 raise OutsideDomain("double sector points must carry a lifted argument")
-            r, theta = abs(z), lift_angle(cmath.phase(z), self.arg_low)
+            r, theta = abs(z), lift_angle(math.atan2(z.imag, z.real), self.arg_low)
         if not self.contains_rtheta(r, theta):
             raise OutsideDomain(f"(r, theta) = ({r}, {theta}) is not inside "
                                 f"({self.arg_low}, {self.arg_high}) by the guard distance")

@@ -42,8 +42,9 @@ def fatou_chart(fm: ParabolicMap, z: complex) -> FatouChartValue:
         raise OriginInput("chart undefined at the fixed point")
     m, a = fm.m, fm.a
     w = -1.0 / (m * a * z ** m)
-    theta_pref = cmath.phase(-1.0 / (m * a * w))
-    sheet = round((m * cmath.phase(z) - theta_pref) / math.tau) % m
+    pref = -1.0 / (m * a * w)
+    theta_pref = math.atan2(pref.imag, pref.real)
+    sheet = round((m * math.atan2(z.imag, z.real) - theta_pref) / math.tau) % m
     return FatouChartValue(w, sheet)
 
 
@@ -51,7 +52,7 @@ def fatou_chart_inverse(fm: ParabolicMap, value: FatouChartValue) -> complex:
     m, a = fm.m, fm.a
     target = -1.0 / (m * a * value.omega)
     r = abs(target) ** (1.0 / m)
-    phi = (cmath.phase(target) + math.tau * value.sheet) / m
+    phi = (math.atan2(target.imag, target.real) + math.tau * value.sheet) / m
     return r * cmath.exp(1j * phi)
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailed, IoFailure, SeedNotInBasin
-from .parabolic import LABEL_UNDECIDED, ParabolicMap, classify_batch
+from .parabolic import (LABEL_ESCAPED, LABEL_UNDECIDED, ParabolicMap, attraction_vectors,
+                         classify_batch)
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -78,16 +79,75 @@ def classify_grid(fm: ParabolicMap, window: Window, resolution: int,
     """Label every pixel center of a square-pixel grid over the window.
 
     `resolution` is the pixel count along the wider side; the other side gets
-    the count that keeps pixels square. All pixel centers go to one
-    classify_batch call, so the labels are deterministic.
+    the count that keeps pixels square. The pixel centers go to one
+    classify_batch call, so the labels are deterministic. For a real map on
+    a window centred on the real axis, only the rows on or above the axis
+    are classified and the rows below are their mirror images (see
+    _classify_pixels).
     """
     nx, ny = _grid_shape(window, resolution)
-    grid = RasterGrid(window, nx, ny, np.empty((ny, nx), dtype=np.int32), fm.m, n_max)
-    xs, ys = grid.pixel_centers()
-    z = xs[None, :] + 1j * ys[:, None]
-    labels, _ = classify_batch(fm, z.ravel(), n_max)
-    grid.labels[:] = labels.reshape(ny, nx)
-    return grid
+    xs, ys = _pixel_centers(window, nx, ny)
+    return RasterGrid(window, nx, ny, _classify_pixels(fm, xs, ys, n_max), fm.m, n_max)
+
+
+def _upper_rows(ys: np.ndarray) -> int:
+    """How many rows, from the top, determine a function of the pixel rows
+    that is even or odd in y: (ny + 1) // 2, the rows on or above the axis,
+    when the rows pair up as y, -y exactly; else all ny."""
+    return (ys.size + 1) // 2 if np.array_equal(ys, -ys[::-1]) else ys.size
+
+
+_UNCLASSIFIED = -3  # label of a pixel outside _classify_pixels' mask
+
+
+def _classify_pixels(fm: ParabolicMap, xs: np.ndarray, ys: np.ndarray, n_max: int,
+                     mask: np.ndarray | None = None) -> np.ndarray:
+    """(ny, nx) labels of the pixel centers xs[j] + 1j * ys[i] from one
+    classify_batch call, in row-major order; with a mask, only the pixels
+    it holds are classified and the others read _UNCLASSIFIED.
+
+    A real polynomial commutes with conjugation, f(conj z) = conj f(z), and
+    so does each IEEE operation of the kernel in round-to-nearest: a complex
+    multiply, adding a real coefficient, re^2 + im^2, the gate tests and
+    arctan2(-y, x) = -arctan2(y, x). So when every coefficient is real and
+    the rows pair up as y, -y, only the rows on or above the axis are
+    classified. Row ny - 1 - i is row i with each direction j mapped to the
+    direction i whose vector is nearest conj(v_j) (the identity for m = 1),
+    escaped and undecided unchanged; the mask must then be symmetric too,
+    as _wedge_mask's is. numpy may round a complex multiply differently on
+    a shorter array (see _horner), so a mirrored orbit can differ in its
+    last bits from its own run; a label is decided by entry into an
+    absorbing set, and none has been seen to move.
+    """
+    ny, nx = ys.size, xs.size
+    top = _upper_rows(ys) if all(c.imag == 0 for c in fm.coefficients) else ny
+    if top < ny:
+        v = attraction_vectors(fm).attraction
+        perm = [min(range(fm.m), key=lambda i: abs(v[i] - u.conjugate())) for u in v]
+        if sorted(perm) != list(range(fm.m)):
+            top = ny
+    x = np.broadcast_to(xs[None, :], (top, nx))
+    y = np.broadcast_to(ys[:top, None], (top, nx))
+    if mask is None:
+        labels, _ = classify_batch(fm, (x + 1j * y).ravel(), n_max)
+        if top == ny:
+            return labels.reshape(ny, nx)
+        out = np.empty((ny, nx), dtype=np.int32)
+        out[:top] = labels.reshape(top, nx)
+    else:
+        upper = mask[:top]
+        labels, _ = classify_batch(fm, x[upper] + 1j * y[upper], n_max)
+        out = np.full((ny, nx), _UNCLASSIFIED, dtype=np.int32)
+        out[:top][upper] = labels
+        if top == ny:
+            return out
+    below = out[:ny - top][::-1]
+    if perm != list(range(fm.m)):
+        # the labels _UNCLASSIFIED .. m - 1 index this table from 0
+        table = np.array([_UNCLASSIFIED, LABEL_UNDECIDED, LABEL_ESCAPED] + perm, dtype=np.int32)
+        below = table[below - _UNCLASSIFIED]
+    out[top:] = below
+    return out
 
 
 def immediate_component(grid: RasterGrid, seed: complex) -> np.ndarray:
@@ -149,17 +209,24 @@ def _wedge_mask(xs: np.ndarray, ys: np.ndarray, R: float, theta0: float) -> np.n
 
     np.hypot costs three times np.arctan2 per pixel, so it runs only where
     (x/R)^2 + (y/R)^2, which is within a few ulps of (|z|/R)^2, lies within
-    1e-9 of 1; everywhere else that sum already decides |z| < R."""
+    1e-9 of 1; everywhere else that sum already decides |z| < R. Each test is
+    even in y exactly (hypot, the squares, |arctan2(-y, x)| = |arctan2(y, x)|),
+    so when the rows pair up as y, -y, the rows below the axis are the
+    mirror images of the rows above."""
+    ny, top = ys.size, _upper_rows(ys)
+    wedge = np.empty((ny, xs.size), dtype=bool)
+    ys = ys[:top]
     u, v = xs / R, ys / R
     s = np.add.outer(v * v, u * u)
-    wedge = s < 1.0 - 1e-9
-    edge = np.logical_not(wedge)
+    upper = np.less(s, 1.0 - 1e-9, out=wedge[:top])
+    edge = np.logical_not(upper)
     edge &= s <= 1.0 + 1e-9
     i, j = np.nonzero(edge)
-    wedge[i, j] = np.hypot(xs[j], ys[i]) < R
-    wedge[np.ix_(ys == 0, xs == 0)] = False  # |z| = 0
+    upper[i, j] = np.hypot(xs[j], ys[i]) < R
+    upper[np.ix_(ys == 0, xs == 0)] = False  # |z| = 0
     ang = np.arctan2(ys[:, None], xs[None, :], out=s)
-    wedge &= np.abs(ang, out=ang) < theta0
+    upper &= np.abs(ang, out=ang) < theta0
+    wedge[top:] = wedge[:ny - top][::-1]
     return wedge
 
 
@@ -171,30 +238,31 @@ def prop3_disjointness(fm: ParabolicMap, R: float, theta0: float,
     Only the pixels inside the wedge are classified, in one classify_batch
     call: every count of the report lies inside the wedge, and each orbit is
     classified on its own, so the labels outside it could change nothing.
-    At theta0 = 0.3 that is about half of the box's pixels and a fifth of
-    its point-steps."""
+    The box is centred on the real axis, so for a real map only the wedge
+    pixels on or above the axis are classified, and those below are their
+    mirror images (see _classify_pixels). At theta0 = 0.3 that is about a
+    quarter of the box's pixels and of its point-steps; a map with a
+    complex coefficient classifies the whole wedge, about half of them."""
     from scipy import ndimage  # deferred: slow to import, and only the flood fills use it
     window = _axis_sampling_window(R, theta0, resolution)
     nx, ny = _grid_shape(window, resolution)
     xs, ys = _pixel_centers(window, nx, ny)
-    x = np.broadcast_to(xs[None, :], (ny, nx))
-    y = np.broadcast_to(ys[:, None], (ny, nx))
-    wedge = _wedge_mask(xs, ys, R, theta0)
-    # the centres classify_grid forms, xs[j] + 1j * ys[i], in row-major order
-    labels, _ = classify_batch(fm, x[wedge] + 1j * y[wedge], n_max)
-    basin = np.zeros_like(wedge)
-    basin[wedge] = labels >= 0
+    labels = _classify_pixels(fm, xs, ys, n_max, _wedge_mask(xs, ys, R, theta0))
+    basin = labels >= 0
 
     comp, _ = ndimage.label(basin, structure=_FOUR_CONNECTED)
     # every component is made of basin pixels, each labelled >= 1, so the
     # rest of the report reads the basin pixels alone
-    xb, yb, cb = x[basin], y[basin], comp[basin]
+    xb = np.broadcast_to(xs[None, :], (ny, nx))[basin]
+    yb = np.broadcast_to(ys[:, None], (ny, nx))[basin]
+    cb = comp[basin]
     tol = window.width / nx * math.sqrt(2.0) / 2.0
     s1 = np.isin(cb, np.unique(cb[np.abs(yb * math.cos(theta0) - xb * math.sin(theta0)) <= tol]))
     s2 = np.isin(cb, np.unique(cb[np.abs(yb * math.cos(theta0) + xb * math.sin(theta0)) <= tol]))
     overlap = int(np.sum(s1 & s2))
+    undecided = int(np.count_nonzero(labels == LABEL_UNDECIDED))
     return WedgeReport(overlap == 0, overlap, int(s1.sum()), int(s2.sum()),
-                       resolution, n_max, cb.size, int(np.sum(labels == LABEL_UNDECIDED)))
+                       resolution, n_max, cb.size, undecided)
 
 
 def write_image(grid: RasterGrid, path) -> None:

@@ -142,6 +142,15 @@ class TestDensity:
         vals = [density(SLIT, cmath.exp(1j * t)) for t in (0.1, 0.01, 0.001)]
         assert vals[0] < vals[1] < vals[2]
 
+    def test_point_with_an_underflowing_angle(self):
+        # arg(2 + 5e-324j) underflows to 0; cmath.phase raised OverflowError there
+        z = 2 + 5e-324j
+        with pytest.raises(OutsideDomain):
+            density(H, z)
+        sec = ModelDomain.sector(-1.0, 1.0)
+        assert math.isfinite(density(sec, z)) and density(sec, z) == density(sec, 2.0)
+        assert LiftedPoint.from_complex(z) == LiftedPoint(2.0, 0.0)
+
 
 # one domain of each kind, each with a width hi - lo that is exact in floats
 ALL_KINDS = [H, SLIT, ModelDomain.sector(-0.5, 5.5), ModelDomain.double_sector(-0.25, 6.5)]

@@ -52,6 +52,14 @@ class TestChart:
             back = fatou_chart_inverse(fm, fatou_chart(fm, z))
             assert abs(back - z) <= 1e-12 * abs(z)
 
+    @pytest.mark.parametrize("coeffs", [[0, 1, 1], [0, 1, 0, 1]])
+    def test_point_with_an_underflowing_angle(self, coeffs):
+        # arg(2 + 5e-324j) underflows to 0; cmath.phase raised OverflowError there
+        fm, _ = analyze_parabolic(coeffs)
+        v = fatou_chart(fm, 2 + 5e-324j)
+        assert cmath.isfinite(v.omega) and v == fatou_chart(fm, 2.0)
+        assert fatou_chart_inverse(fm, v) == pytest.approx(2.0, rel=1e-15)
+
     def test_exact_conjugation(self, quad_map):
         # |F(w) - w^2/(w-1)| small relative to scale, 1e4 samples over |w| in [2, 1e6]
         fm, _ = quad_map

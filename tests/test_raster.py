@@ -8,7 +8,8 @@ from test_parabolic import _grid_points
 from basinlab import (Window, analyze_parabolic, classify_grid, construct_pacman,
                       immediate_component, prop3_disjointness, raster, write_image)
 from basinlab.errors import ConstructionFailed, SeedNotInBasin
-from basinlab.parabolic import LABEL_ESCAPED, LABEL_UNDECIDED
+from basinlab.parabolic import (LABEL_ESCAPED, LABEL_UNDECIDED, AttractionVectorSet,
+                               classify_batch)
 from basinlab.raster import RasterGrid, WedgeReport, _axis_sampling_window
 
 STD_WINDOW = Window(complex(-0.25, 0.0), 1.5, 1.5)
@@ -31,12 +32,19 @@ class TestClassifyGrid:
         rec = classify_direction(fm, 0.0, 1000)
         assert rec.status.value == "undecided"
 
-    def test_conjugation_symmetry_exact(self, quad_grid):
+    def test_conjugation_symmetry_exact(self, quad_map, quad_grid):
+        # the labels are those of one classify_batch call over every pixel
+        fm, _ = quad_map
+        labels, _ = classify_batch(fm, _grid_points(STD_WINDOW, 192), 10 ** 4)
+        assert np.array_equal(quad_grid.labels, labels.reshape(quad_grid.labels.shape))
         assert np.array_equal(quad_grid.labels, quad_grid.labels[::-1, :])
 
     def test_two_petal_symmetry_swaps_directions(self, cubic_map):
         fm, _ = cubic_map
-        g = classify_grid(fm, Window(0j, 2.0, 2.0), 128, 4000)
+        window = Window(0j, 2.0, 2.0)
+        g = classify_grid(fm, window, 128, 4000)
+        labels, _ = classify_batch(fm, _grid_points(window, 128), 4000)
+        assert np.array_equal(g.labels, labels.reshape(g.labels.shape))
         flipped = g.labels[::-1, :]
         swap = flipped.copy()
         swap[flipped == 0] = 1
@@ -68,6 +76,100 @@ class TestClassifyGrid:
         inside = pm.domain(0).contains(z)
         assert inside.sum() > 100
         assert np.all(g.labels[inside] == 0)
+
+
+def _spy_on_classify_batch(monkeypatch):
+    """The point arrays raster passes to classify_batch, one per call."""
+    calls = []
+    real = raster.classify_batch
+
+    def spy(fm, points, n_max):
+        calls.append(points.copy())
+        return real(fm, points, n_max)
+
+    monkeypatch.setattr(raster, "classify_batch", spy)
+    return calls
+
+
+class TestConjugateMirror:
+    # (coefficients, window, resolution, rows): odd and even row counts,
+    # m = 1, 2, 3 and a < 0
+    GRIDS = [
+        ([0, 1, 1], STD_WINDOW, 512, 512),
+        ([0, 1, 1], STD_WINDOW, 1024, 1024),
+        ([0, 1, 0, 1], Window(0j, 2.0, 2.0), 512, 512),
+        ([0, 1, 1, 1], Window(complex(-0.25, 0.0), 1.5, 1.5 * 383 / 511), 511, 383),
+        ([0, 1, 0, 0, 1], Window(0j, 2.0, 2.0), 400, 400),
+        ([0, 1, 0, 1, 1], Window(0j, 2.0, 2.0), 512, 512),
+        ([0, 1, 0.5, -0.3], Window(complex(-0.5, 0.0), 3.0, 3.0 * 211 / 301), 301, 211),
+        ([0, 1, -1], Window(complex(0.25, 0.0), 1.5, 1.5), 257, 257)]
+
+    @pytest.mark.parametrize("coefficients,window,resolution,rows", GRIDS)
+    def test_mirror_is_the_full_grid(self, coefficients, window, resolution, rows,
+                                     monkeypatch):
+        # the premise of the mirror: the rows on or above the axis, classified
+        # alone, give the labels and steps one call over every pixel gives
+        # them, and that call's rows below the axis are their mirror images
+        fm, vs = analyze_parabolic(coefficients)
+        n_max = 2000
+        z = _grid_points(window, resolution)
+        labels, steps = classify_batch(fm, z, n_max)
+        labels, steps = labels.reshape(rows, -1), steps.reshape(rows, -1)
+        top = (rows + 1) // 2
+        half_labels, half_steps = classify_batch(fm, z[:top * labels.shape[1]], n_max)
+        assert half_labels.tobytes() == labels[:top].tobytes()
+        assert half_steps.tobytes() == steps[:top].tobytes()
+        assert np.array_equal(steps, steps[::-1])
+        conj = [int(np.argmin(np.abs(np.array(vs.attraction) - v.conjugate())))
+                for v in vs.attraction]
+        flipped = labels[::-1]
+        mapped = np.take(conj, np.maximum(flipped, 0))
+        assert np.array_equal(labels, np.where(flipped >= 0, mapped, flipped))
+        calls = _spy_on_classify_batch(monkeypatch)
+        grid = classify_grid(fm, window, resolution, n_max)
+        assert grid.labels.shape == labels.shape
+        assert np.array_equal(grid.labels, labels)
+        assert len(calls) == 1 and calls[0].tobytes() == z[:top * labels.shape[1]].tobytes()
+
+    def test_three_petals_swap_the_outer_directions(self):
+        # z + z^4: directions at pi/3, pi and 5pi/3; conjugation swaps 0 and 2
+        fm, _ = analyze_parabolic([0, 1, 0, 0, 1])
+        g = classify_grid(fm, Window(0j, 2.0, 2.0), 64, 2000)
+        assert {0, 1, 2} <= set(np.unique(g.labels))
+        flipped = g.labels[::-1]
+        assert np.array_equal(g.labels, np.choose(flipped + 2, [-2, -1, 2, 1, 0]))
+
+    def test_complex_coefficient_classifies_every_pixel(self, monkeypatch):
+        fm, _ = analyze_parabolic([0, 1, 1 + 0.5j])
+        calls = _spy_on_classify_batch(monkeypatch)
+        g = classify_grid(fm, STD_WINDOW, 128, 2000)
+        assert calls[0].tobytes() == _grid_points(STD_WINDOW, 128).tobytes()
+        rep = prop3_disjointness(fm, 0.3, 0.3, 128, n_max=2000)
+        window = _axis_sampling_window(0.3, 0.3, 128)
+        box = _grid_points(window, 128)
+        wedge = (np.abs(box) < 0.3) & (np.abs(np.angle(box)) < 0.3) & (box != 0)
+        assert len(calls) == 2 and calls[1].tobytes() == box[wedge].tobytes()
+        assert rep == _reference_prop3(fm, 0.3, 0.3, 128, 2000)
+        assert not np.array_equal(g.labels, g.labels[::-1])
+
+    def test_directions_not_closed_under_conjugation_classify_every_pixel(
+            self, cubic_map, monkeypatch):
+        # both vectors conjugate nearest to direction 0: no permutation, no mirror
+        fm, _ = cubic_map
+        monkeypatch.setattr(raster, "attraction_vectors",
+                            lambda fm: AttractionVectorSet((1j, 1.5j), (1, -1)))
+        calls = _spy_on_classify_batch(monkeypatch)
+        classify_grid(fm, STD_WINDOW, 64, 2000)
+        assert calls[0].tobytes() == _grid_points(STD_WINDOW, 64).tobytes()
+
+    def test_off_axis_window_classifies_every_pixel(self, quad_map, monkeypatch):
+        fm, _ = quad_map
+        window = Window(complex(-0.25, 0.01), 1.5, 1.5)
+        calls = _spy_on_classify_batch(monkeypatch)
+        g = classify_grid(fm, window, 128, 2000)
+        z = _grid_points(window, 128)
+        assert len(calls) == 1 and calls[0].tobytes() == z.tobytes()
+        assert np.array_equal(g.labels.ravel(), classify_batch(fm, z, 2000)[0])
 
 
 class TestImmediateComponent:
@@ -152,22 +254,18 @@ class TestWedgeOnly:
         assert rep.disjoint is disjoint
 
     def test_classifies_the_wedge_pixels_alone(self, perturbed_map, monkeypatch):
+        # the real map and the box centred on the axis: only the wedge pixels
+        # on or above the axis row
         fm, _ = perturbed_map
-        calls = []
-
-        def spy(fm, points, n_max):
-            calls.append(points.copy())
-            return real(fm, points, n_max)
-
-        real = raster.classify_batch
-        monkeypatch.setattr(raster, "classify_batch", spy)
+        calls = _spy_on_classify_batch(monkeypatch)
         prop3_disjointness(fm, 0.3, 0.3, 256, n_max=6000)
         grid = _grid_points(_axis_sampling_window(0.3, 0.3, 256), 256)
         wedge = (np.abs(grid) < 0.3) & (np.abs(np.angle(grid)) < 0.3) & (grid != 0)
+        upper_rows = grid.imag >= 0
         assert len(calls) == 1
         assert calls[0].dtype == complex
-        assert calls[0].tobytes() == grid[wedge].tobytes()
-        assert calls[0].size < 0.55 * grid.size
+        assert calls[0].tobytes() == grid[wedge & upper_rows].tobytes()
+        assert calls[0].size < 0.3 * grid.size
 
     @staticmethod
     def _full_box_wedge(xs, ys, R, theta0):
