@@ -9,9 +9,9 @@ from .parabolic import (AttractionVectorSet, OrbitRecord, OrbitStatus,
                         ParabolicMap, QEnumeration, analyze_parabolic,
                         attraction_vectors, classify_direction, enumerate_Q,
                         forward_orbit, parse_polynomial, preimages)
-from .petals import (FatouChartValue, PacManConstruction, PacManDomain,
-                     check_petal_invariance, construct_pacman, estimate_remainder,
-                     fatou_chart, fatou_chart_inverse, membership_petal)
+from .petals import (FatouChartValue, PacManConstruction, check_petal_invariance,
+                     construct_pacman, estimate_remainder, fatou_chart,
+                     fatou_chart_inverse, membership_petal)
 from .raster import (RasterGrid, Window, classify_grid, immediate_component,
                      prop3_disjointness, write_image)
 from .verifier import (TheoremCertificate, TheoremParams, choose_parameters,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttractionVectorSet", "BasinLabError", "DistanceBound", "FatouChartValue",
     "LiftedPoint", "ModelDomain", "OrbitRecord", "OrbitStatus", "PacManConstruction",
-    "PacManDomain", "ParabolicMap", "QEnumeration", "RasterGrid", "TheoremCertificate",
+    "ParabolicMap", "QEnumeration", "RasterGrid", "TheoremCertificate",
     "TheoremParams", "Window", "analyze_parabolic", "attraction_vectors",
     "bound_case1", "bound_case2", "bound_case2_horizontal", "certify_pair",
     "check_petal_invariance", "choose_parameters", "classify_direction",

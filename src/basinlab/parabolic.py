@@ -26,7 +26,9 @@ LABEL_UNDECIDED = -2
 LABEL_ESCAPED = -1
 
 DEDUP_QUANTUM = 1e-10
-ROOT_TOL = 1e-12  # largest residual |f(z) - w| a root returned by preimages_batch may have
+# preimages_batch accepts a root of f(z) = w whose residual |f(z) - w| is at
+# most max(ROOT_TOL, 1e-13 * max(1, |w|)): absolute up to |w| = 10, relative past it
+ROOT_TOL = 1e-12
 PROBE_STEPS = 20000  # step budget of the one classification of q per enumeration
 _BLOCK = 1 << 15  # classify_batch block: 16 K and 32 K points tie, 64 K is slower on render 512²
 _GROUP = 64  # most steps classify_batch takes in one group while few orbits are live
@@ -519,13 +521,13 @@ def _aberth(fm: ParabolicMap, z: np.ndarray, ws: np.ndarray, target: np.ndarray,
 def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
     """Row i holds the deg(f) solutions of f(z) = ws[i], sorted by (re, im).
 
-    Aberth simultaneous iteration (_aberth) to a residual a decade below
-    ROOT_TOL (relative for |w| > 1), then one Newton polish; NoConvergence if
-    a residual stays above ROOT_TOL or is nan, NumericOverflow if a root left
-    the range of double precision (z + z^2 = 1e300 starts the iteration on a
-    circle of radius 1e300). A multiple root comes out as a cluster of
-    simple roots that each meet the target (the double root of z + z^2 at
-    w = -1/4 as two roots about 1e-7 apart). Deterministic and
+    Aberth simultaneous iteration (_aberth) to a residual of
+    1e-13 * max(1, |w|), then one Newton polish; NoConvergence if a residual
+    stays above max(ROOT_TOL, 1e-13 * max(1, |w|)) or is nan, NumericOverflow
+    if a root left the range of double precision (z + z^2 = 1e300 starts the
+    iteration on a circle of radius 1e300). A multiple root comes out as a
+    cluster of simple roots that each meet the target (the double root of
+    z + z^2 at w = -1/4 as two roots about 1e-7 apart). Deterministic and
     row-independent: fixed initial circle, perturbation restarts drawn from a
     seeded generator keyed by the attempt number, so row i does not depend on
     the other targets.
@@ -556,7 +558,8 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
 
 
 def preimages(fm: ParabolicMap, w: complex) -> list:
-    """All deg(f) solutions of f(z) = w (with multiplicity), residual below ROOT_TOL."""
+    """All deg(f) solutions of f(z) = w (with multiplicity), residual within
+    preimages_batch's tolerance."""
     return [complex(r) for r in preimages_batch(fm, np.array([w], dtype=complex))[0]]
 
 
@@ -564,25 +567,18 @@ def preimages(fm: ParabolicMap, w: complex) -> list:
 # Truncated backward/forward orbit set Q
 # ---------------------------------------------------------------------------
 
-_KEY = np.dtype([("re", np.int64), ("im", np.int64)])
-_KEY_LIMIT = 2.0 ** 62
-
-
 def quantize(values: np.ndarray) -> np.ndarray:
-    """Grid-cell keys (round(re/DEDUP_QUANTUM), round(im/DEDUP_QUANTUM)) as
-    sortable int64 pairs.
+    """Grid cells rint(re/DEDUP_QUANTUM) + 1j*rint(im/DEDUP_QUANTUM), one
+    complex number per value.
 
-    Rounding is half-to-even, like Python's round(). Raises NumericOverflow
-    for a value whose key would not fit in int64.
+    Rounding is half-to-even, like Python's round(). The parts are assigned,
+    not summed, so no arithmetic touches either; -0.0 == 0.0, so a small
+    negative part shares the zero cell.
     """
-    re = np.rint(values.real / DEDUP_QUANTUM)
-    im = np.rint(values.imag / DEDUP_QUANTUM)
-    if not (np.all(np.abs(re) < _KEY_LIMIT) and np.all(np.abs(im) < _KEY_LIMIT)):
-        raise NumericOverflow(f"value outside the int64 range of the {DEDUP_QUANTUM:g} grid")
-    keys = np.empty(values.shape, dtype=_KEY)
-    keys["re"] = re
-    keys["im"] = im
-    return keys
+    cells = np.empty(values.shape, dtype=complex)
+    cells.real = np.rint(values.real / DEDUP_QUANTUM)
+    cells.imag = np.rint(values.imag / DEDUP_QUANTUM)
+    return cells
 
 
 @dataclass
@@ -630,10 +626,11 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     f^{-l}(f^k(q)) lies in the basin of q. No point is classified again.
 
     Expansion runs level by level: one preimages_batch call solves level l
-    for every k. The result is sorted by (k, l, re, im) and deduplicated on
-    the quantized grid keeping first occurrences, so it is independent of
-    expansion order. A point's parent is the target it was solved from, or
-    the next orbit point, taken through the same dedup. Raises
+    for every k. The result is sorted by (k, l, re, im) and deduplicated by
+    one np.unique over the complex grid cells of quantize: points sharing a
+    cell keep the first in (k, l, re, im) order, so the result is independent
+    of expansion order. A point's parent is the target it was solved from, or
+    the next orbit point, taken through the same cell. Raises
     PointCapExceeded as soon as a level would take the raw count past
     point_cap, so no caller ever sees part of the levels it asked for.
     """
@@ -668,32 +665,22 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
 
     vals, ks, ls, ups = (np.concatenate(x) for x in (vals, ks, ls, ups))
     order = np.lexsort((vals.imag, vals.real, ls, ks))
-    keys = quantize(vals[order])
-    by_key = np.lexsort((keys["im"], keys["re"]))  # stable: ties stay in (k, l, re, im) order
-    sorted_keys = keys[by_key]
-    new_cell = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    first = np.zeros(vals.size, dtype=bool)  # over sorted positions: first of its cell
-    first[by_key[new_cell]] = True
-    kept = order[first]
-    # rep[i]: output index of the cell of raw point i, cells numbered by the
-    # cumulative sum of new-cell flags; rep[-1] = -1 passes the orbit end on.
-    cell_out = (np.cumsum(first) - 1)[by_key[new_cell]]
-    rep = np.full(vals.size + 1, -1)
-    rep[order[by_key]] = cell_out[np.cumsum(new_cell) - 1]
-    vals, ks, ls, parent = vals[kept], ks[kept], ls[kept], rep[ups[kept]]
+    # return_index takes a stable sort, so first[c] is cell c's first point in
+    # (k, l, re, im) order: that copy is kept, and every copy maps to it
+    _, first, cell = np.unique(quantize(vals[order]), return_index=True, return_inverse=True)
+    kept_at = np.sort(first)
+    kept = order[kept_at]
+    out = np.full(vals.size + 1, -1)  # out[-1] = -1 passes the orbit end on
+    out[order] = np.searchsorted(kept_at, first)[cell]
+    vals, ks, ls, parent = vals[kept], ks[kept], ls[kept], out[ups[kept]]
 
-    # Independent residual verification: iterate each point forward l steps
-    # and compare against the stored orbit target; a point leaves once it has
-    # taken its l steps.
-    residuals = np.zeros(vals.size)
-    live, cur = np.arange(vals.size), vals
-    for step in range(l_max + 1):
-        at = ls[live] == step
-        done = live[at]
-        residuals[done] = np.abs(cur[at] - orbit[ks[done]])
-        live, cur = live[~at], cur[~at]
-        if live.size:
-            cur = fm(cur)
+    # Independent residual verification: iterate each point forward its l
+    # steps and compare against the stored orbit target.
+    cur = vals.copy()
+    for step in range(1, l_max + 1):
+        live = ls >= step
+        cur[live] = fm(cur[live])
+    residuals = np.abs(cur - orbit[ks])
 
     return QEnumeration(complex(q), label, vals, ks, ls, residuals, parent,
                         k_max, l_max)

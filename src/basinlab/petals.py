@@ -111,42 +111,6 @@ def remainder_radius(fm: ParabolicMap, target: float) -> float:
 
 
 @dataclass(frozen=True)
-class PacManDomain:
-    """Truncated disk with an angular gap around the sector boundary rays.
-
-    For a direction with axis argument `axis_arg` and sector opening
-    `sector_opening`, membership means 0 < r <= radius and the angular offset
-    from the axis is below sector_opening/2 - gap_angle.
-    """
-
-    radius: float
-    gap_angle: float
-    sector_opening: float = math.tau
-    axis_arg: float = math.pi
-
-    def __post_init__(self):
-        if not (0.0 < self.gap_angle < math.pi / 2.0):
-            raise DegenerateAngle("gap angle must lie in (0, pi/2)")
-        if self.radius <= 0.0 or self.sector_opening / 2.0 <= self.gap_angle:
-            raise DegenerateAngle("wedge is empty")
-
-    def contains(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        half = self.sector_opening / 2.0 - self.gap_angle
-        off = np.abs(wrap_angle(np.angle(z) - self.axis_arg))
-        return (r > 0) & (r <= self.radius) & (off < half)
-
-    @classmethod
-    def left(cls, radius: float, gap_angle: float) -> "PacManDomain":
-        return cls(radius, gap_angle)
-
-    @classmethod
-    def right(cls, radius: float, gap_angle: float) -> "PacManDomain":
-        return cls(radius, gap_angle, axis_arg=0.0)
-
-
-@dataclass(frozen=True)
 class PacManConstruction:
     """Radii certified by the two-stage tangent-line construction.
 
@@ -170,11 +134,6 @@ class PacManConstruction:
     remainder_bound: float
     tangent_points: dict
     attraction_args: tuple
-
-    def domain(self, direction: int = 0) -> PacManDomain:
-        """The inner pacman (radius R0_prime) about the given direction."""
-        return PacManDomain(self.R0_prime, self.theta0, math.tau / self.m,
-                            self.attraction_args[direction])
 
     def to_json_dict(self) -> dict:
         return {

@@ -337,8 +337,6 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
     frontier = np.array([z0], dtype=complex)
     nodes: list[tuple[int, complex]] = []
     for level in range(1, depth + 1):
-        if frontier.size == 0:
-            break
         frontier = preimages_batch(fm, frontier).ravel()
         nodes.extend((level, complex(w)) for w in frontier)
     report.n_preimages = len(nodes)

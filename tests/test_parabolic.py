@@ -798,16 +798,18 @@ class TestEnumerateQ:
         assert qe.direction == 0
         assert np.all(labels == qe.direction)
 
-    @pytest.mark.parametrize("poly, q, k_max, l_max, digest", [
+    @pytest.mark.parametrize("poly, q, k_max, l_max, digest, residual_digest", [
         ("quad_map", -0.5, 20, 10,
-         "45e7155b4bd87f1ad04f26e626c66b739b71acbbe919a3ccc9f2039f5cfe50a8"),
+         "45e7155b4bd87f1ad04f26e626c66b739b71acbbe919a3ccc9f2039f5cfe50a8",
+         "acff179ac513362be41bc4b12fdcdf5d884fcea662224aab3ff90e5cc5dcdcd0"),
         ("cubic_map", 0.3j, 15, 8,
-         "0f14adcea415566d035636350a384c822955dcb4842e9d22d7581ad643cab5be")])
+         "0f14adcea415566d035636350a384c822955dcb4842e9d22d7581ad643cab5be",
+         "7ee8f608a6844fd19cf4b37ce956e1b139adb98f05b8426174d72183af091120")])
     def test_probe_reads_only_the_label(self, request, monkeypatch, poly, q, k_max, l_max,
-                                        digest):
+                                        digest, residual_digest):
         # q's label comes from classify_batch alone, with no scalar re-run of
         # its orbit; the value, k, l and parent bytes of the acceptance
-        # enumerations are pinned
+        # enumerations are pinned, and so are the residual bytes
         fm, _ = request.getfixturevalue(poly)
 
         def no_orbit(*args):
@@ -819,6 +821,7 @@ class TestEnumerateQ:
         for a in (qe.value, qe.k, qe.l, qe.parent):
             h.update(a.tobytes())
         assert h.hexdigest() == digest
+        assert hashlib.sha256(qe.residual.tobytes()).hexdigest() == residual_digest
 
     def test_undecided_probe_rejected(self, quad_map):
         # the fixed point is never judged, so q = 0 stays undecided
@@ -862,9 +865,14 @@ class TestEnumerateQ:
         assert np.array_equal(qe.k[p] - qe.l[p], qe.k[has] - qe.l[has] + 1)
         assert np.abs(fm(v) - qe.value[p]).max() < _CLOSURE_RESIDUAL_TOL
 
-    def test_quantize_rejects_keys_beyond_int64(self):
-        with pytest.raises(NumericOverflow):
-            quantize(np.array([1e10 + 0j]))
+    @pytest.mark.parametrize("axis", [1, 1j])
+    def test_quantize_cells(self, axis):
+        # a small negative part rounds to -0.0, which shares the zero cell;
+        # one quantum away is another cell, and a value far outside Q still
+        # gets a finite one
+        assert np.unique(quantize(axis * np.array([-3e-11, 3e-11, 0.0]))).size == 1
+        assert np.unique(quantize(axis * np.array([0.0, 1e-10]))).size == 2
+        assert np.all(np.isfinite(quantize(np.array([1e10 + 0j]))))
 
     def test_csv_round_trip(self, quad_map, tmp_path):
         # enumerate-q writes q_points.csv, one row per point, floats exact

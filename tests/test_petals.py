@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from basinlab import (FatouChartValue, PacManDomain, analyze_parabolic,
+from basinlab import (FatouChartValue, analyze_parabolic,
                       check_petal_invariance, construct_pacman,
                       estimate_remainder, fatou_chart, fatou_chart_inverse)
 from basinlab import petals
@@ -138,25 +138,6 @@ class TestOneCircle:
         fm, _ = analyze_parabolic([0, 1, 0, 1, 1])
         params = choose_parameters(fm, 5.0)
         assert params.pacman.remainder_bound < params.theta0 / 3.0
-
-
-class TestPacManDomain:
-    def test_left_membership_formula(self):
-        # left wedge: 0 < r <= R and theta0 < arg z < 2 pi - theta0
-        dom = PacManDomain.left(2.0, 0.3)
-        rng = np.random.default_rng(11)
-        for _ in range(2000):
-            r = rng.uniform(0, 2.5)
-            th = rng.uniform(0, 2 * math.pi)
-            z = r * cmath.exp(1j * th)
-            expect = (0 < r <= 2.0) and (0.3 < th < 2 * math.pi - 0.3)
-            assert bool(dom.contains(z)) == expect
-
-    def test_right_is_rotated_left(self):
-        left = PacManDomain.left(1.0, 0.2)
-        right = PacManDomain.right(1.0, 0.2)
-        z = 0.5 * cmath.exp(1j * 2.0)
-        assert bool(left.contains(z)) == bool(right.contains(-z))
 
 
 class TestConstruction:

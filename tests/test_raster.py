@@ -8,6 +8,7 @@ from test_parabolic import _grid_points
 from basinlab import (Window, analyze_parabolic, classify_grid, construct_pacman,
                       immediate_component, prop3_disjointness, raster, write_image)
 from basinlab.errors import ConstructionFailed, SeedNotInBasin
+from basinlab.kobayashi import wrap_angle
 from basinlab.parabolic import (LABEL_ESCAPED, LABEL_UNDECIDED, AttractionVectorSet,
                                classify_batch)
 from basinlab.raster import RasterGrid, WedgeReport, _axis_sampling_window
@@ -73,7 +74,9 @@ class TestClassifyGrid:
         g = classify_grid(fm, window, 128, 10 ** 4)
         xs, ys = g.pixel_centers()
         z = xs[None, :] + 1j * ys[:, None]
-        inside = pm.domain(0).contains(z)
+        r = np.abs(z)
+        off = np.abs(wrap_angle(np.angle(z) - pm.attraction_args[0]))
+        inside = (r > 0) & (r <= pm.R0_prime) & (off < math.pi / pm.m - pm.theta0)
         assert inside.sum() > 100
         assert np.all(g.labels[inside] == 0)
 
