@@ -354,7 +354,6 @@ def _dispatch(args) -> int:
     fm, _ = args.poly
     rep = raster.prop3_disjointness(fm, args.R, args.theta0, args.res, args.nmax)
     payload = asdict(rep)
-    del payload["n_max"]
     if args.stability_check:
         rep2 = raster.prop3_disjointness(fm, args.R, args.theta0, 2 * args.res, args.nmax)
         payload["doubled"] = {"disjoint": rep2.disjoint,

@@ -68,13 +68,12 @@ class ParabolicMap:
 
 
 def _horner(coefficients_desc, z, out=None):
-    # A Python scalar stays in Python complex arithmetic: forward_orbit, the
-    # orbit of q and the last live orbit of a classify_batch block are
-    # computed that way. numpy's complex multiply gives Python's bits on a
-    # one-element array, so a lone orbit keeps the bits it had in one, but
-    # not on longer arrays, where the same operands can round otherwise. An
-    # array result is accumulated in place, in `out` when the caller reuses
-    # a buffer.
+    # A Python scalar stays in Python complex arithmetic: forward_orbit and
+    # the iterates of a classify_batch live set of one slot are computed that
+    # way. numpy's complex multiply gives Python's bits on a one-element
+    # array, so a lone orbit keeps the bits it had in one, but not on longer
+    # arrays, where the same operands can round otherwise. An array result is
+    # accumulated in place, in `out` when the caller reuses a buffer.
     # Seeding r with the leading coefficient skips the step 0*z + c from
     # r = 0, which gives the same bits for finite z unless c has a negative-
     # zero part, and saves two passes over an array.
@@ -202,7 +201,8 @@ def classify_direction(fm: ParabolicMap, z0: complex, n_max: int) -> OrbitRecord
     direction j, ESCAPED past the escape radius, UNDECIDED after n_max steps.
     The points are forward_orbit's iteration up to the deciding step, and
     they are the iterates judged: classify_batch steps a lone start in the
-    same Python complex arithmetic from step 1 on.
+    same Python complex arithmetic from step 1 on, in whole groups, so the
+    orbit is iterated twice, the second time only up to the deciding step.
     """
     if n_max < 100:
         raise ValueError("n_max must be at least 100")
@@ -253,7 +253,7 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     reused by every block. Each block is copied into a buffer, so the caller's
     array is never written. A resolved orbit is parked at 0, which f fixes,
     and the live orbits are compacted only once fewer than half of the slots
-    hold one.
+    hold one, or one orbit is left.
 
     After f, a step reads every slot only to form |z|^2, to screen
     max |z|^2 <= escape_radius^2 and to test |z|^2 <= entry^2 against the
@@ -264,18 +264,17 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     buffer (at most _GROUP_ROOM iterates, never past step n_max), every row is
     tested at once, and each orbit is retired at its first event in step
     order: escape, entry into the gate, or landing on the fixed point. A full
-    block steps one step at a time. Once one live orbit is left, it finishes
-    alone in Python complex arithmetic, one step at a time: f of a Python
-    complex, then the same tests in the same order and float operations,
-    with no numpy call per step except the gate's float pow for m >= 3
-    (_gate_terms). A one-point batch steps that way from step 1 on. Every
-    orbit is iterated and tested with the same elementwise operations
-    whatever its block, group or live set, but not always to the same bits:
-    numpy may round a complex multiply on a longer array differently from a
-    one-element array or Python (see _horner), so an orbit left alone can
-    drift by rounding from the same orbit in a larger set. A label is
-    decided by entry into an absorbing set, and no label or step count has
-    been seen to move by this drift.
+    block steps one step at a time. A lone live orbit is compacted into one
+    slot, and its group's rows are filled with f of a Python complex, which
+    costs no ufunc call per step and gives a one-element array's bits (see
+    _horner); the rows are then tested like any other group's. A one-point
+    batch steps that way from step 1 on. Every orbit is iterated and tested
+    with the same elementwise operations whatever its block, group or live
+    set, but not always to the same bits: numpy may round a complex multiply
+    on a longer array differently from a one-element array or Python, so an
+    orbit left alone can drift by rounding from the same orbit in a larger
+    set. A label is decided by entry into an absorbing set, and no label or
+    step count has been seen to move by this drift.
     """
     from . import petals  # deferred: petals imports this module
 
@@ -283,12 +282,15 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
     rho_h = petals.half_plane_radius(fm)
     v_args = np.array(attraction_vectors(fm).attraction_args)
     m, ma = fm.m, fm.m * fm.a
-    r_esc2 = fm.escape_radius ** 2
-    sector2 = (abs(ma) * gate.rho2) ** (-2.0 / m)
-    entry2 = max(sector2, (abs(ma) * rho_h) ** (-2.0 / m))
+    try:
+        r_esc2 = fm.escape_radius ** 2
+        sector2 = (abs(ma) * gate.rho2) ** (-2.0 / m)
+        entry2 = max(sector2, (abs(ma) * rho_h) ** (-2.0 / m))
+        half_lim = -rho_h * abs(ma) ** 2
+    except OverflowError:
+        raise NumericOverflow("classifier threshold outside double-precision range") from None
     inner2 = min(entry2, r_esc2)  # from step 1 on, an escaping iterate is no candidate
     cos_lim = math.cos(gate.gap_omega) * abs(ma)
-    half_lim = -rho_h * abs(ma) ** 2
     start = np.asarray(points, dtype=complex).ravel()
     size = start.size
     labels = np.full(size, LABEL_UNDECIDED, dtype=np.int32)
@@ -311,22 +313,6 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
         last[col] = 0
         live -= col.size
 
-    def finish_alone(z, first):  # (label, step) of the orbit whose first - 1 iterate is z
-        for step in range(first, n_max + 1):
-            z = fm(z)
-            a2 = z.real * z.real + z.imag * z.imag
-            if not a2 <= r_esc2:  # nan and inf too; abs(z) could raise OverflowError
-                return LABEL_ESCAPED, step
-            if a2 <= inner2:
-                if a2 == 0:
-                    break
-                u, a2m, a2h = _gate_terms(z, a2, m, ma)
-                sector = a2h * cos_lim if a2 <= sector2 else -math.inf
-                if u.real <= max(a2m * half_lim, sector):
-                    label = 0 if m == 1 else _nearest_direction(np.array([z]), v_args)[0]
-                    return label, step
-        return LABEL_UNDECIDED, n_max
-
     with np.errstate(over="ignore", invalid="ignore"):  # overflow to inf/nan is escape
         for lo in range(0, size, _BLOCK):
             slots = live = min(_BLOCK, size - lo)
@@ -338,16 +324,17 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
             live_mask.fill(True)
             step, group, rows = 0, 1, cur  # step 0 judges the starts themselves
             while live and step <= n_max:
-                if live == 1 and step:  # the last live orbit of the block finishes alone
-                    j = np.argmax(live_mask)
-                    block_labels[idx[j]], block_steps[idx[j]] = finish_alone(complex(cur[j]), step)
-                    break
                 if step:  # rows[t] holds the iterates of step + t
                     group = min(_GROUP, max(1, _GROUP_ROOM // slots), n_max + 1 - step)
                     home, spare = spare, home
                     rows = home[:group * slots]
-                    for t in range(0, rows.size, slots):
-                        cur = fm(cur, out=rows[t:t + slots])
+                    if slots == 1:  # a lone orbit steps in Python complex arithmetic
+                        z = complex(cur[0])
+                        for t in range(group):
+                            rows[t] = z = fm(z)
+                    else:
+                        for t in range(0, rows.size, slots):
+                            cur = fm(cur, out=rows[t:t + slots])
                 n = rows.size
                 last = rows[n - slots:]
                 # |z|^2 = re*re + im*im, via the spare buffer
@@ -408,7 +395,7 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
                     retire(inside, 0 if m == 1 else _nearest_direction(rows[inside], v_args))
                 step += group
                 cur = last
-                if live and 2 * live < slots:
+                if live and (2 * live < slots or live == 1 < slots):
                     np.compress(live_mask, cur, out=spare[:live])
                     idx = np.compress(live_mask, idx)
                     home, spare = spare, home
@@ -416,22 +403,6 @@ def classify_batch(fm: ParabolicMap, points: np.ndarray,
                     live_mask = alive[:slots]
                     live_mask.fill(True)
     return labels, steps
-
-
-def _gate_terms(z: complex, a2: float, m: int, ma: complex) -> tuple:
-    """u = m a z^m, |z|^(2m) and |z|^m of one iterate z with |z|^2 = a2, to
-    the bits classify_batch's kernel gives them on a one-element array:
-    Python arithmetic where numpy rounds alike, a one-element np.power where
-    it may not (numpy's float pow can be a vectorized one of its own). Even
-    the out= form counts: an in-place np.square of a one-element complex
-    array rounds like Python, a fresh one can use a fused multiply-add."""
-    if m == 1:
-        return z * ma, a2, math.sqrt(a2)
-    if m == 2:
-        return z * z * ma, a2 * a2, a2
-    x = np.array([a2])
-    a2m = np.power(x, m).item()
-    return z ** m * ma, a2m, np.power(x, m / 2, out=x).item()
 
 
 def _nearest_direction(z: np.ndarray, v_args: np.ndarray) -> np.ndarray:

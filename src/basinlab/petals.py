@@ -78,7 +78,10 @@ def estimate_remainder(fm: ParabolicMap, rho: float) -> float:
         raise ValueError("rho must be positive")
     m, a = fm.m, fm.a
     r = (1.0 / (m * abs(a) * rho)) ** (1.0 / m)
-    if sum(abs(c) * r ** (k - 1) for k, c in enumerate(fm.coefficients[2:], 2)) >= 1.0:
+    try:  # a term past double range fails the test, as a sum >= 1 does
+        if sum(abs(c) * r ** (k - 1) for k, c in enumerate(fm.coefficients[2:], 2)) >= 1.0:
+            return math.inf
+    except OverflowError:
         return math.inf
     angles = math.tau * (np.arange(128) + 0.5) / 128
     z = r * np.exp(1j * angles)

@@ -40,7 +40,6 @@ class RasterGrid:
     ny: int
     labels: np.ndarray  # int32, shape (ny, nx); >= 0 direction, -1 escaped, -2 undecided
     m: int
-    n_max: int
     component_mask: np.ndarray | None = None
 
     def pixel_centers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +86,7 @@ def classify_grid(fm: ParabolicMap, window: Window, resolution: int,
     """
     nx, ny = _grid_shape(window, resolution)
     xs, ys = _pixel_centers(window, nx, ny)
-    return RasterGrid(window, nx, ny, _classify_pixels(fm, xs, ys, n_max), fm.m, n_max)
+    return RasterGrid(window, nx, ny, _classify_pixels(fm, xs, ys, n_max), fm.m)
 
 
 def _upper_rows(ys: np.ndarray) -> int:
@@ -151,8 +150,15 @@ def _classify_pixels(fm: ParabolicMap, xs: np.ndarray, ys: np.ndarray, n_max: in
 
 
 def immediate_component(grid: RasterGrid, seed: complex) -> np.ndarray:
-    """4-connected component of same-direction pixels containing the seed."""
+    """4-connected component of same-direction pixels containing the seed.
+
+    A seed outside the window raises SeedNotInBasin: its nearest pixel would
+    lie on the edge, in a component the seed need not touch."""
     from scipy import ndimage  # deferred: slow to import, and only the flood fills use it
+    w = grid.window
+    if not (abs(seed.real - w.center.real) <= w.width / 2
+            and abs(seed.imag - w.center.imag) <= w.height / 2):
+        raise SeedNotInBasin(f"seed {seed} lies outside the window")
     i, j = grid.pixel_index(seed)
     lab = int(grid.labels[i, j])
     if lab < 0:
@@ -170,7 +176,6 @@ class WedgeReport:
     s1_pixels: int
     s2_pixels: int
     resolution: int
-    n_max: int
     basin_pixels: int
     undecided_pixels: int
 
@@ -262,7 +267,7 @@ def prop3_disjointness(fm: ParabolicMap, R: float, theta0: float,
     overlap = int(np.sum(s1 & s2))
     undecided = int(np.count_nonzero(labels == LABEL_UNDECIDED))
     return WedgeReport(overlap == 0, overlap, int(s1.sum()), int(s2.sum()),
-                       resolution, n_max, cb.size, undecided)
+                       resolution, cb.size, undecided)
 
 
 def write_image(grid: RasterGrid, path) -> None:

@@ -118,6 +118,15 @@ class TestRenderAndProp3:
         rep = json.loads((tmp_path / "o" / "prop3.json").read_text())
         assert rep["disjoint"] is True
 
+    def test_component_seed_outside_the_window(self, tmp_path):
+        # 5+5i escapes at step 1; its nearest pixel is the top-right corner,
+        # which lies in the basin
+        res = run_cli(["--out-dir", "o", "render", "--poly", "0,1,1", "--center=-0.25,0",
+                       "--width", "0.3", "--res", "64", "--component-seed=5,5"], tmp_path)
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"] == "SeedNotInBasin"
+        assert not (tmp_path / "o").exists()
+
 
 class TestDistanceCommand:
     def test_halfplane(self, tmp_path):
@@ -268,6 +277,25 @@ def test_out_dir_file_fails_before_computing(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "IoFailure"
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("argv,error", [
+    # a threshold of classify_batch past double range: escape_radius ** 2
+    ("verify --poly 0,1,1e-300 --C 2 --q=-1e299 --kmax 2 --lmax 1", "NumericOverflow"),
+    ("render --poly 0,1,1e-300 --width 1 --res 8", "NumericOverflow"),
+    ("prop3 --poly 0,1,1e-200 --R 0.3 --theta0 0.3 --res 16", "NumericOverflow"),
+    # ... and |m a| ** 2
+    ("verify --poly 0,1,1e200 --C 2 --q=-5e-201 --kmax 2 --lmax 1", "NumericOverflow"),
+    ("orbit --poly 0,1,1e170 --z0=-1e-171 --n 200 --classify", "NumericOverflow"),
+    # r ** (k - 1) past double range in estimate_remainder's disc test
+    ("pacman --poly 0,1,1e-300,1 --theta0 0.1", "NoConvergence"),
+    ("orbit --poly 0,1,1e-300,1 --z0 0.1 --n 200 --classify", "NoConvergence"),
+])
+def test_extreme_coefficients_raise_typed_errors(argv, error, tmp_path):
+    res = run_cli(["--out-dir", "o", *argv.split()], tmp_path)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert json.loads(res.stderr)["error"] == error
 
 
 def test_truncated_q_yields_no_certificate(tmp_path, monkeypatch, capsys):

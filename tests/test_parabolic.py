@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +21,7 @@ from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
 from basinlab.kobayashi import wrap_angle
 from basinlab.parabolic import (_BLOCK, _GROUP, DEDUP_QUANTUM, LABEL_ESCAPED, LABEL_UNDECIDED,
-                                 ParabolicMap, _gate_terms, attraction_vectors,
+                                 ParabolicMap, attraction_vectors,
                                  classify_batch, preimages_batch, quantize)
 from basinlab.raster import RasterGrid, Window, _axis_sampling_window
 from basinlab.verifier import _CLOSURE_RESIDUAL_TOL
@@ -172,8 +176,9 @@ class TestClassifyDirection:
         ("perturbed_map", 0.0007, 10 ** 4)])
     def test_points_are_the_judged_iterates(self, request, map_name, z0, n_max):
         # classify_batch steps a lone start in Python complex arithmetic from
-        # step 1 on: the values it evaluates f at, then those forward_orbit
-        # evaluates f at, are the orbit's points, twice over
+        # step 1 on, in whole groups of _GROUP steps (never past n_max): the
+        # values it evaluates f at begin with the orbit's points, and those
+        # forward_orbit evaluates f at are exactly the orbit's points
         class RecordingMap(ParabolicMap):
             def __call__(self, z, out=None):
                 seen.append(z)
@@ -185,9 +190,12 @@ class TestClassifyDirection:
         petals.half_plane_radius(fm)
         seen.clear()
         rec = classify_direction(fm, z0, n_max)
-        assert len(rec.points) > 2 and all(type(z) is complex for z in seen)
-        assert (np.array(seen).tobytes()
-                == np.array(rec.points[:-1] + rec.points[:-1]).tobytes())
+        s = len(rec.points) - 1  # the deciding step
+        batch, orbit = seen[:-s], seen[-s:]
+        assert s > 1 and all(type(z) is complex for z in seen)
+        assert len(batch) == min(_GROUP * math.ceil(s / _GROUP), n_max)
+        assert np.array(batch[:s]).tobytes() == np.array(rec.points[:-1]).tobytes()
+        assert np.array(orbit).tobytes() == np.array(rec.points[:-1]).tobytes()
 
 
 def _grid_points(window, resolution):
@@ -196,7 +204,7 @@ def _grid_points(window, resolution):
         nx, ny = resolution, max(1, round(resolution * window.height / window.width))
     else:
         nx, ny = max(1, round(resolution * window.width / window.height)), resolution
-    xs, ys = RasterGrid(window, nx, ny, None, 1, 1).pixel_centers()
+    xs, ys = RasterGrid(window, nx, ny, None, 1).pixel_centers()
     return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
@@ -451,8 +459,9 @@ class TestTail:
     # repelling real axis, 1.4e-4 to 7.4e-4 from the vertex: they leave
     # after about 1/x steps and are the last live orbits of their block.
     # Once the last one is alone it steps in Python complex arithmetic, one
-    # scalar evaluation per step; until then each step of the live set is
-    # one evaluation on an array. The counts are the classifier's work.
+    # scalar evaluation per step, in whole groups of _GROUP steps; until then
+    # each step of the live set is one evaluation on an array. The counts are
+    # the classifier's work.
     FIRST = 309258
     ESCAPES = [7264, 2292, 1361]
 
@@ -467,8 +476,9 @@ class TestTail:
         labels, steps = classify_batch(fm, z[self.FIRST:self.FIRST + 3], 10000)
         assert labels.tolist() == [LABEL_ESCAPED] * 3
         assert steps.tolist() == self.ESCAPES
-        # the group of 64 steps that retires 2292 runs to 2304
-        assert calls == {"array": 2304, "scalar": 4960}
+        # the group of 64 steps that retires 2292 runs to 2304, and the lone
+        # orbit then steps 78 whole groups, to 7296
+        assert calls == {"array": 2304, "scalar": 4992}
 
     def test_in_their_block(self, raster):
         fm, z, calls = raster
@@ -479,13 +489,26 @@ class TestTail:
         assert labels[at:at + 3].tolist() == [LABEL_ESCAPED] * 3
         assert steps[at:at + 3].tolist() == self.ESCAPES
         assert np.sort(steps)[-3:].tolist() == sorted(self.ESCAPES)
-        assert calls == {"array": 2306, "scalar": 4958}
+        assert calls == {"array": 2306, "scalar": 4992}
 
     def test_budget_one_short(self, raster):
         fm, z, _ = raster
         labels, steps = classify_batch(fm, z[self.FIRST:self.FIRST + 3], self.ESCAPES[0] - 1)
         assert labels.tolist() == [LABEL_UNDECIDED, LABEL_ESCAPED, LABEL_ESCAPED]
         assert steps.tolist() == [self.ESCAPES[0] - 1] + self.ESCAPES[1:]
+
+    def test_lone_survivor_of_two_slots(self, raster):
+        # 10 escapes at step 1 and leaves the tail pixel alone in a block of
+        # two slots, which is compacted to one: the pixel steps in Python
+        # complex from step 65 on, as it would in a batch of its own
+        fm, z, calls = raster
+        pair = np.array([10.0, z[self.FIRST]])
+        calls.update(array=0, scalar=0)
+        labels, steps = classify_batch(fm, pair, 10000)
+        assert calls == {"array": _GROUP, "scalar": 7232}
+        alone = [classify_batch(fm, pair[i:i + 1], 10000) for i in range(2)]
+        assert labels.tolist() == [LABEL_ESCAPED] * 2 == [a[0][0] for a in alone]
+        assert steps.tolist() == [1, self.ESCAPES[0]] == [a[1][0] for a in alone]
 
     @pytest.mark.parametrize("n_max,label", [(7264, LABEL_ESCAPED), (7263, LABEL_UNDECIDED)])
     def test_lone_budget_at_the_escape_step(self, raster, n_max, label):
@@ -497,12 +520,12 @@ class TestTail:
 
 
 class TestLoneOrbit:
-    # classify_batch finishes the last live orbit of a block in Python
-    # complex arithmetic. A lone orbit used to step in a one-element array,
-    # so its labels and steps stay the same only if the scalar code gives
-    # the one-element array's bits: the Horner step, |z|^2 and the gate's
-    # terms. Points at every scale from 1e-4 to 1 around the vertex; m = 1
-    # to 4 and a complex coefficient.
+    # classify_batch steps the last live orbit of a block in Python complex
+    # arithmetic and tests its iterates with the array kernel. A lone orbit
+    # used to step in a one-element array, so its labels and steps stay the
+    # same only if the scalar Horner step gives the one-element array's bits.
+    # Points at every scale from 1e-4 to 1 around the vertex; m = 1 to 4 and
+    # a complex coefficient.
     MAPS = [[0, 1, 1], [0, 1, 0, 1], [0, 1, 0, 0, 1], [0, 1, 1, 1], [0, 1, 0, 0, 0, 1],
             [0, 1, -0.3 + 0.2j, 0.5]]
 
@@ -520,43 +543,6 @@ class TestLoneOrbit:
         one = np.concatenate([fm(z[i:i + 1]) for i in range(z.size)])
         assert scalar.tobytes() == one.tobytes()
 
-    @pytest.mark.parametrize("coefficients", MAPS)
-    def test_gate_terms_are_the_kernels(self, coefficients):
-        # the kernel's operations on a one-element candidate, in place where
-        # the kernel works in place
-        fm, _ = analyze_parabolic(coefficients)
-        m, ma = fm.m, fm.m * fm.a
-        half_lim = -petals.half_plane_radius(fm) * abs(ma) ** 2
-        cos_lim = math.cos(petals.membership_petal(fm).gap_omega) * abs(ma)
-        for w in self._points(coefficients):
-            zc = np.array([w])
-            sq = np.empty(1, dtype=complex)
-            np.square(zc.view(float), out=sq.view(float))
-            rc = np.add(sq.real, sq.imag)
-            u = zc.copy()
-            if m == 1:
-                np.multiply(u, ma, out=u)
-            else:
-                np.square(u, out=u) if m == 2 else np.power(u, m, out=u)
-                u *= ma
-            lim = np.empty(1)
-            if m == 1:
-                np.multiply(rc, half_lim, out=lim)
-            else:
-                np.square(rc, out=lim) if m == 2 else np.power(rc, m, out=lim)
-                lim *= half_lim
-            sector = rc.copy()
-            np.sqrt(sector, out=sector) if m == 1 else np.power(sector, m / 2, out=sector)
-            sector *= cos_lim
-
-            w = complex(w)
-            a2 = w.real * w.real + w.imag * w.imag
-            assert a2.hex() == rc[0].hex()
-            u_s, a2m, a2h = _gate_terms(w, a2, m, ma)
-            assert np.array([u_s]).tobytes() == u.tobytes()
-            assert (a2m * half_lim).hex() == lim[0].hex()
-            assert (a2h * cos_lim).hex() == sector[0].hex()
-
     @pytest.mark.parametrize("coefficients", [[0, 1, 1], [0, 1, 0, 1]])
     @pytest.mark.parametrize("start", [1e300, 1e300 + 1e300j, np.inf, np.nan])
     def test_non_finite_start_escapes_at_step_one(self, coefficients, start):
@@ -570,7 +556,8 @@ class TestLoneOrbit:
         fm, calls = _counting_map(quad_map[0])
         labels, steps = classify_batch(fm, np.array([-1.0]), 10 ** 6)
         assert (labels.tolist(), steps.tolist()) == ([LABEL_UNDECIDED], [10 ** 6])
-        assert calls == {"array": 0, "scalar": 1}
+        # the lone orbit steps a whole group; f(-1) = 0 retires it at step 1
+        assert calls == {"array": 0, "scalar": _GROUP}
 
     @pytest.mark.parametrize("n_max,label", [(2, 0), (1, LABEL_UNDECIDED)])
     def test_lone_budget_at_the_absorption_step(self, quad_map, n_max, label):
@@ -592,14 +579,55 @@ class TestLoneOrbit:
         z = z[np.abs(z) > 0.25]
         z[7] = slow
         labels, steps = classify_batch(fm, z, 4000)
-        # every step of the slow orbit is evaluated once: in arrays while the
-        # others live (at most one group of _GROUP steps longer), then alone
-        assert calls["array"] + calls["scalar"] == step and calls["array"] < 100 + _GROUP
+        # the slow orbit steps in arrays while the others live (at most one
+        # group of _GROUP steps longer), then alone in whole groups
+        assert calls["array"] < 100 + _GROUP
+        assert calls["scalar"] == _GROUP * math.ceil((step - calls["array"]) / _GROUP)
         ref_labels, ref_steps = _reference_classify(fm, z, 4000)
         assert np.array_equal(labels, ref_labels)
         assert np.array_equal(steps, ref_steps)
         assert (labels[7], steps[7]) == (label, step)
         assert np.delete(steps, 7).max() < 100
+
+
+def _dispatch_digests():
+    """sha256 of classify_batch's labels and steps on the render 512² of
+    z + z^2, on the prop3 1024² tail block of TestTail's grid, and on 300
+    one-point batches per map of TestLoneOrbit.MAPS."""
+    def digest(results):
+        return hashlib.sha256(b"".join(a.tobytes() for r in results for a in r)).hexdigest()
+
+    quad, _ = analyze_parabolic([0, 1, 1])
+    perturbed, _ = analyze_parabolic([0, 1, 1, 1])
+    render = _grid_points(Window(-0.25 + 0j, 1.5, 1.5), 512)
+    tail = _grid_points(_axis_sampling_window(0.3, 0.3, 1024), 1024)[9 * _BLOCK:]
+    digests = [digest([classify_batch(quad, render, 2000)]),
+               digest([classify_batch(perturbed, tail, 10000)])]
+    for coefficients in TestLoneOrbit.MAPS:
+        fm, _ = analyze_parabolic(coefficients)
+        starts = TestLoneOrbit._points(coefficients)[:300]
+        digests.append(digest(classify_batch(fm, starts[i:i + 1], 1000)
+                              for i in range(starts.size)))
+    return digests
+
+
+def test_labels_and_steps_on_the_avx2_path():
+    # numpy's AVX-512 and AVX2 kernels round some functions differently,
+    # np.power among them, which the gate uses for m >= 3; a child process
+    # with the AVX-512 features disabled takes the AVX2 kernels
+    if "X86_V4" not in np._core._multiarray_umath.__cpu_dispatch__:
+        pytest.skip("no AVX-512 dispatch path to disable")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(Path(parabolic.__file__).resolve().parent.parent),
+                                         str(here), os.environ.get("PYTHONPATH")]))
+    code = ("import numpy as np, test_parabolic as t\n"
+            "assert not np._core._multiarray_umath.__cpu_features__['X86_V4']\n"
+            "print(*t._dispatch_digests())")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           cwd=here, check=True,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+    assert child.stdout.split() == _dispatch_digests()
 
 
 class TestLemmaAsymptotics:

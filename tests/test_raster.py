@@ -190,6 +190,13 @@ class TestImmediateComponent:
         with pytest.raises(SeedNotInBasin):
             immediate_component(quad_grid, 0.5)
 
+    @pytest.mark.parametrize("seed", [-1.2, -0.5 + 0.76j, -0.5 - 0.9j])
+    def test_seed_outside_the_window_rejected(self, quad_grid, seed):
+        # the nearest pixel of each seed is an edge pixel of direction 0
+        assert quad_grid.labels[quad_grid.pixel_index(seed)] == 0
+        with pytest.raises(SeedNotInBasin):
+            immediate_component(quad_grid, seed)
+
 
 class TestWedgeDisjointness:
     def test_disjoint_lobes(self, perturbed_map):
@@ -235,7 +242,7 @@ def _reference_prop3(fm, R, theta0, resolution, n_max):
     s2 = np.isin(comp, sorted(set(np.unique(comp[basin & near2])) - {0}))
     overlap = int(np.sum(s1 & s2))
     return WedgeReport(overlap == 0, overlap, int(s1.sum()), int(s2.sum()),
-                       resolution, n_max, int(basin.sum()),
+                       resolution, int(basin.sum()),
                        int(np.sum(wedge & (grid.labels == LABEL_UNDECIDED))))
 
 
@@ -380,7 +387,7 @@ class TestWriteImage:
         labels = (np.arange(6 * 9, dtype=np.int32).reshape(6, 9) % (m + 2)) - 2
         mask = (np.add.outer(np.arange(6), np.arange(9)) % 3 == 0) if masked else None
         path = tmp_path / "p.ppm"
-        write_image(RasterGrid(STD_WINDOW, 9, 6, labels, m, 100, mask), path)
+        write_image(RasterGrid(STD_WINDOW, 9, 6, labels, m, mask), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_256_grid_size_formula(self, quad_map, tmp_path):
