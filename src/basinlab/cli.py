@@ -319,6 +319,8 @@ def _dispatch(args) -> int:
         fm, _ = args.poly
         cert = verifier.verify_theorem(fm, args.C, args.q, args.kmax, args.lmax,
                                        args.direction)
+        # solved before any file is written, so a capped closure writes none
+        rep = verifier.corollary_d_closure(fm, cert, args.depth) if cmd == "closure" else None
         _write_json(out_dir, "certificate.json", cert.to_json_dict())
         sys.stdout.write(cert.to_table())
         if cmd == "verify" and args.dump_bounds:
@@ -327,8 +329,7 @@ def _dispatch(args) -> int:
                        zip(qe.value.real.tolist(), qe.value.imag.tolist(), qe.k.tolist(),
                            qe.l.tolist(), cert.point_bounds.tolist(),
                            cert.certified_mask.astype(int).tolist()))
-        if cmd == "closure":
-            rep = verifier.corollary_d_closure(fm, cert, args.depth)
+        if rep is not None:
             _emit(rep.to_json_dict(), out_dir, "closure.json")
             ok = (rep.status == "ok" and rep.residual_failures == 0
                   and rep.image_misses == 0)

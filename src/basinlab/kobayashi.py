@@ -531,26 +531,16 @@ def bound_case2_horizontal(z0_tilde: complex, C: float) -> DistanceBound:
 
 
 def kobayashi_disk_clearance(domain: ModelDomain, center, C: float) -> float:
-    """Largest angle t such that the rays at arguments in (arg_low, arg_low + t)
+    """Largest angle a such that the rays at arguments in (arg_low, arg_low + a)
     miss the closed hyperbolic disk of radius C about center.
 
-    The minimal distance from the center to the ray at chart angle v is the
-    chart distance to the point of that ray at the center's radius,
-    dist_uv_arrays(0, vc, 0, v): infinite on the boundary ray and monotone
-    toward the center, so bisection on the wedge's near edge settles the
-    angle. The result is rounded to nearest, not an enclosure.
+    The least distance d from the center to the ray at chart angle v < v_c
+    is to that ray's point at the center's radius. With t = tan(v/2) and
+    t_c = tan(v_c/2), the half-plane formula gives sinh(d/2) = (t_c - t) /
+    (2 sqrt(t_c t)), so d = ln(t_c/t), and d = C exactly where t = e^(-C) t_c.
+    The result is rounded to nearest, not an enclosure.
     """
+    if C < 0.0:
+        raise ValueError("C must be non-negative")
     _, v_c = chart_uv(domain, center)
-    scale = math.pi / domain.width
-
-    def d_min(v):
-        return dist_uv_arrays(0.0, v_c, 0.0, v) if math.sin(v) > 0.0 else math.inf
-
-    lo, hi = 0.0, 1.0  # fractions of the chart angle v_c of the center
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if d_min(mid * v_c) > C:
-            lo = mid
-        else:
-            hi = mid
-    return lo * v_c / scale
+    return 2.0 * math.atan(math.exp(-C) * math.tan(v_c / 2.0)) * domain.width / math.pi

@@ -30,6 +30,7 @@ DEDUP_QUANTUM = 1e-10
 # most max(ROOT_TOL, 1e-13 * max(1, |w|)): absolute up to |w| = 10, relative past it
 ROOT_TOL = 1e-12
 PROBE_STEPS = 20000  # step budget of the one classification of q per enumeration
+POINT_CAP = 10 ** 6  # most raw points enumerate_Q or a closure may solve for
 _BLOCK = 1 << 15  # classify_batch block: 16 K and 32 K points tie, 64 K is slower on render 512²
 _GROUP = 64  # most steps classify_batch takes in one group while few orbits are live
 _GROUP_ROOM = 2048  # iterates one group may hold; a live set above half of it steps alone
@@ -585,7 +586,7 @@ class QEnumeration:
 
 
 def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
-                direction: int | None = None, point_cap: int = 10 ** 6) -> QEnumeration:
+                direction: int | None = None) -> QEnumeration:
     """Breadth-first preimage expansion of each forward iterate of q.
 
     q is classified once, by classify_batch in PROBE_STEPS steps, and only
@@ -602,9 +603,11 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     cell keep the first in (k, l, re, im) order, so the result is independent
     of expansion order. A point's parent is the target it was solved from, or
     the next orbit point, taken through the same cell. Raises
-    PointCapExceeded as soon as a level would take the raw count past
-    point_cap, so no caller ever sees part of the levels it asked for.
+    PointCapExceeded before any level, the orbit included, that would take
+    the raw count past POINT_CAP: no caller sees part of the levels it asked for.
     """
+    if k_max + 1 > POINT_CAP:
+        raise PointCapExceeded(f"Q for k_max={k_max} passes the point cap of {POINT_CAP}")
     labels, _ = classify_batch(fm, [q], PROBE_STEPS)
     label = int(labels[0])
     if label < 0 or direction not in (None, label):
@@ -622,9 +625,9 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     ups = [np.r_[1:k_max + 1, -1]]
     count = frontier.size  # raw points so far; the frontier is the last frontier.size
     for l in range(1, l_max + 1):
-        if count + frontier.size * fm.degree > point_cap:
+        if count + frontier.size * fm.degree > POINT_CAP:
             raise PointCapExceeded(f"Q for k_max={k_max}, l_max={l_max} passes the point "
-                                   f"cap of {point_cap} at level l={l}")
+                                   f"cap of {POINT_CAP} at level l={l}")
         roots = preimages_batch(fm, frontier).ravel()
         roots_k = np.repeat(frontier_k, fm.degree)
         vals.append(roots)

@@ -125,27 +125,23 @@ def _classify_pixels(fm: ParabolicMap, xs: np.ndarray, ys: np.ndarray, n_max: in
         perm = [min(range(fm.m), key=lambda i: abs(v[i] - u.conjugate())) for u in v]
         if sorted(perm) != list(range(fm.m)):
             top = ny
-    x = np.broadcast_to(xs[None, :], (top, nx))
-    y = np.broadcast_to(ys[:top, None], (top, nx))
+    # only masked pixels become complex: a whole complex grid raises prop3's peak RSS
+    x, y = np.broadcast_arrays(xs[None, :], ys[:top, None])
+    out = np.full((ny, nx), _UNCLASSIFIED, dtype=np.int32)
     if mask is None:
         labels, _ = classify_batch(fm, (x + 1j * y).ravel(), n_max)
-        if top == ny:
-            return labels.reshape(ny, nx)
-        out = np.empty((ny, nx), dtype=np.int32)
         out[:top] = labels.reshape(top, nx)
     else:
         upper = mask[:top]
         labels, _ = classify_batch(fm, x[upper] + 1j * y[upper], n_max)
-        out = np.full((ny, nx), _UNCLASSIFIED, dtype=np.int32)
         out[:top][upper] = labels
-        if top == ny:
-            return out
-    below = out[:ny - top][::-1]
-    if perm != list(range(fm.m)):
-        # the labels _UNCLASSIFIED .. m - 1 index this table from 0
-        table = np.array([_UNCLASSIFIED, LABEL_UNDECIDED, LABEL_ESCAPED] + perm, dtype=np.int32)
-        below = table[below - _UNCLASSIFIED]
-    out[top:] = below
+    if top < ny:
+        below = out[:ny - top][::-1]
+        if perm != list(range(fm.m)):
+            # the labels _UNCLASSIFIED .. m - 1 index this table from 0
+            table = np.array([_UNCLASSIFIED, LABEL_UNDECIDED, LABEL_ESCAPED] + perm, dtype=np.int32)
+            below = table[below - _UNCLASSIFIED]
+        out[top:] = below
     return out
 
 

@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import parabolic
 from .errors import (ConstructionFailed, NonPositiveImaginary, OutsideComparisonDomain,
-                     SmallRealPart)
+                     PointCapExceeded, SmallRealPart)
 from .kobayashi import (DistanceBound, LiftedPoint, ModelDomain, bound_case1,
                         bound_case2_horizontal, chart_distances, kappa_infimum,
                         kobayashi_disk_clearance, lift_angle, wrap_angle)
@@ -72,12 +73,14 @@ class TheoremParams:
 def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> TheoremParams:
     """Run the parameter recipe for target distance C in one direction.
 
-    theta0 is half of min(1/(2 C e^C), pi/6); the wedge construction at theta0
-    yields R0_prime and eps = R0_prime e^(-2C/m); theta* = min(1.5 theta0,
-    0.9 asin(min(1, cap))) keeps the normalized point at Re > 1/2 with height
-    below the cap; theta0_prime comes from the hyperbolic disk clearance at
-    radius C about the normalized point, in the unwidened domain (the slit
-    plane, or the sector (0, 2pi/m)).
+    theta0 is half of min(cap, pi/6), cap = 1/(2 C e^C) (ConstructionFailed
+    once e^C overflows); the wedge construction at theta0 yields R0_prime and
+    eps = R0_prime e^(-2C/m). theta* = 1.5 theta0 keeps the normalized point
+    at Re > 1/2 below the height 0.9 asin(min(1, cap)), which never binds:
+    0.9 asin(cap) >= 0.9 cap > 0.75 cap = 1.5 theta0 for cap <= pi/6, and
+    0.9 asin(pi/6) = 0.496 > 0.393 = 0.75 pi/6 past it. theta0_prime is the
+    disk clearance at radius C about the normalized point in the unwidened
+    domain (the slit plane, or the sector (0, 2pi/m)).
     """
     if C <= 0.0:
         raise ValueError("C must be positive")
@@ -85,14 +88,17 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
     vs = attraction_vectors(fm)
     if not (0 <= direction < m):
         raise ValueError("direction index out of range")
-    cap = 1.0 / (2.0 * C * math.exp(C))
+    try:
+        cap = 1.0 / (2.0 * C * math.exp(C))
+    except OverflowError as exc:
+        raise ConstructionFailed(f"e^C overflows double precision at C={C}") from exc
     theta0 = 0.5 * min(cap, math.pi / 6.0)
     try:
         pm = construct_pacman(fm, theta0)
     except Exception as exc:  # noqa: BLE001 - surface as recipe failure
         raise ConstructionFailed(f"wedge construction rejected theta0={theta0}") from exc
     eps = pm.R0_prime * math.exp(-2.0 * C / m)
-    theta_star = min(1.5 * theta0, 0.9 * math.asin(min(1.0, cap)))
+    theta_star = 1.5 * theta0
     rotation = lift_angle(vs.attraction_args[direction] - math.pi / m, 0.0)
     z0 = eps * complex(math.cos(rotation + theta_star), math.sin(rotation + theta_star))
     z0n = complex(math.cos(theta_star), math.sin(theta_star))
@@ -328,6 +334,7 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
     p, which must be certified (else image_outside_sector), lie within the
     residual tolerance of f(v) and carry a bound >= C (else image_misses).
     The orbit end (k_max, 0) has no image: a frontier skip, not a failure.
+    A level that would take the preimages past POINT_CAP raises first.
     """
     if not cert.passed:
         return ClosureReport(depth, "precondition_failed")
@@ -337,6 +344,8 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
     frontier = np.array([z0], dtype=complex)
     nodes: list[tuple[int, complex]] = []
     for level in range(1, depth + 1):
+        if len(nodes) + frontier.size * fm.degree > parabolic.POINT_CAP:
+            raise PointCapExceeded(f"closure depth {depth} passes the point cap at level {level}")
         frontier = preimages_batch(fm, frontier).ravel()
         nodes.extend((level, complex(w)) for w in frontier)
     report.n_preimages = len(nodes)

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import inspect
 import json
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import basinlab
-from basinlab import cli, enumerate_Q, kobayashi, raster, verifier
+from basinlab import cli, kobayashi, parabolic, raster, verifier
 
 # The CLI runs in a temp dir, so a relative PYTHONPATH entry would not resolve;
 # put the absolute parent of the imported package first.
@@ -290,6 +289,8 @@ def test_out_dir_file_fails_before_computing(tmp_path, monkeypatch, capsys):
     # r ** (k - 1) past double range in estimate_remainder's disc test
     ("pacman --poly 0,1,1e-300,1 --theta0 0.1", "NoConvergence"),
     ("orbit --poly 0,1,1e-300,1 --z0 0.1 --n 200 --classify", "NoConvergence"),
+    # e^C past double range in the recipe's cap 1/(2 C e^C)
+    ("verify --poly 0,1,1 --C 800 --q=-0.5 --kmax 2 --lmax 1", "ConstructionFailed"),
 ])
 def test_extreme_coefficients_raise_typed_errors(argv, error, tmp_path):
     res = run_cli(["--out-dir", "o", *argv.split()], tmp_path)
@@ -299,8 +300,7 @@ def test_extreme_coefficients_raise_typed_errors(argv, error, tmp_path):
 
 
 def test_truncated_q_yields_no_certificate(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(verifier, "enumerate_Q",
-                        functools.partial(enumerate_Q, point_cap=20))
+    monkeypatch.setattr(parabolic, "POINT_CAP", 20)
     out = tmp_path / "o"
     code = cli.main(["--out-dir", str(out), "verify", "--poly", "0,1,1", "--C", "2",
                      "--q", "-0.5", "--kmax", "20", "--lmax", "10"])
@@ -310,7 +310,7 @@ def test_truncated_q_yields_no_certificate(tmp_path, monkeypatch, capsys):
 
 
 def test_capped_q_writes_no_points(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "enumerate_Q", functools.partial(enumerate_Q, point_cap=20))
+    monkeypatch.setattr(parabolic, "POINT_CAP", 20)
     out = tmp_path / "o"
     code = cli.main(["--out-dir", str(out), "enumerate-q", "--poly", "0,1,1",
                      "--q", "-0.5", "--kmax", "20", "--lmax", "10"])
@@ -403,19 +403,20 @@ def test_chart_distance_has_one_owner():
 # when path_length moved to the G7/K15 rule (distance --path), when the chart
 # distance became a sum of two squares (bounds.csv), when kappa_infimum began
 # to round down (the case2 constants in certificate.json) and when the disk
-# clearance moved to dist_uv_arrays (theta0_prime in certificate.json). A
+# clearance moved to dist_uv_arrays (theta0_prime in certificate.json) and
+# when the disk clearance took its closed form (theta0_prime, one ulp). A
 # change to one changes a certificate or a distance, and must be deliberate
 # and stated.
 _PINNED = {
     "verify-cubic": (["verify", "--poly", "0,1,0,1", "--C", "2", "--q", "0,0.3",
                       "--kmax", "15", "--lmax", "8", "--dump-bounds"],
-                     {"certificate.json": "7619f1f1ff34a458", "bounds.csv": "b842f230306dc33e"}),
+                     {"certificate.json": "46b184bb4a235f54", "bounds.csv": "b842f230306dc33e"}),
     "closure-quad": (["closure", "--poly", "0,1,1", "--C", "2", "--q", "-0.5",
                       "--kmax", "20", "--lmax", "10", "--depth", "3"],
-                     {"certificate.json": "d002b93d6d6d5ee3", "closure.json": "3d6ce7fcb1e716f8"}),
+                     {"certificate.json": "9d75e81f033edd87", "closure.json": "3d6ce7fcb1e716f8"}),
     "verify-double-sector": (["verify", "--poly", "0,1,1,1", "--C", "2", "--q=-0.2",
                               "--kmax", "12", "--lmax", "6", "--dump-bounds"],
-                             {"certificate.json": "c5f4b4c65bbe8556",
+                             {"certificate.json": "e3fd605440c6b3b1",
                               "bounds.csv": "5772ea51fc31bc31"}),
     "distance-slit-path": (["distance", "--domain", "slit", "--z1=-0.5,0.5", "--z2=-0.5,-0.5",
                             "--path=-0.5,0.5;-1,0.2;-1,-0.2;-0.5,-0.5"],

@@ -701,13 +701,13 @@ class TestBoundSoundness:
 
     def test_horizontal_sound_in_recipe_regime(self):
         # scenarios drawn from the parameter recipe itself: the normalized
-        # point sits at angle theta* = min(1.5*theta0, 0.9*asin(min(1, cap)))
+        # point sits at angle theta* = 1.5*theta0
         rng = np.random.default_rng(23)
         for _ in range(300):
             C = rng.uniform(0.5, 4.0)
             cap = 1.0 / (2.0 * C * math.exp(C))
             theta0 = 0.5 * min(cap, math.pi / 6.0)
-            theta_star = min(1.5 * theta0, 0.9 * math.asin(min(1.0, cap)))
+            theta_star = 1.5 * theta0
             z0 = cmath.exp(1j * theta_star)
             y1 = z0.imag * math.exp(rng.uniform(-C, C))  # crossing inside the band
             bound = bound_case2_horizontal(z0, C).value
@@ -736,6 +736,37 @@ class TestClearance:
     def test_zero_radius(self):
         got = kobayashi_disk_clearance(H, 1j, 0.0)
         assert got == pytest.approx(math.pi / 2.0, abs=1e-6)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            kobayashi_disk_clearance(H, 1j, -0.5)
+
+    @pytest.mark.parametrize("C", [70.0, 100.0, 300.0, 700.0])
+    def test_half_plane_at_large_radius(self, C):
+        # 2 atan(e^-C) is far below 2^-100, where a bisection of the angle's
+        # fraction rounds to 0
+        got = kobayashi_disk_clearance(H, 1j, C)
+        want = 2.0 * math.atan(math.exp(-C))
+        assert got > 0.0
+        assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_recipe_centers_within_ulps_of_mpmath(self, m):
+        # the center e^(i theta*) of the parameter recipe, theta* = 1.5 theta0,
+        # in the unwidened domain of m petals
+        mpmath = pytest.importorskip("mpmath")
+        domain = SLIT if m == 1 else ModelDomain.sector(0.0, math.tau / m)
+        worst = 0.0
+        for C in np.linspace(0.25, 20.0, 40).tolist():
+            theta_star = 0.75 * min(1.0 / (2.0 * C * math.exp(C)), math.pi / 6.0)
+            center = complex(math.cos(theta_star), math.sin(theta_star))
+            got = kobayashi_disk_clearance(domain, center, C)
+            with mpmath.workdps(50):
+                width = mpmath.mpf(domain.width)
+                v_c = mpmath.pi * mpmath.atan2(center.imag, center.real) / width
+                want = 2 * mpmath.atan(mpmath.exp(-C) * mpmath.tan(v_c / 2)) * width / mpmath.pi
+                worst = max(worst, float(abs(got - want)) / math.ulp(float(want)))
+        assert worst <= 4.0
 
 
 class TestDomainGuards:

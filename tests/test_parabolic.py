@@ -863,13 +863,21 @@ class TestEnumerateQ:
         with pytest.raises(NotInBasin):
             enumerate_Q(fm, -0.3j, 1, 1, 0)
 
-    def test_point_cap_raises(self, quad_map):
+    def test_point_cap_raises(self, quad_map, monkeypatch):
         # 4 orbit points and 8 first preimages fit under the cap of 20, the
         # 16 second preimages do not
         fm, _ = quad_map
-        assert enumerate_Q(fm, -0.5, 3, 1, 0, point_cap=20).value.size <= 20
+        monkeypatch.setattr(parabolic, "POINT_CAP", 20)
+        assert enumerate_Q(fm, -0.5, 3, 1, 0).value.size <= 20
         with pytest.raises(PointCapExceeded):
-            enumerate_Q(fm, -0.5, 3, 4, 0, point_cap=20)
+            enumerate_Q(fm, -0.5, 3, 4, 0)
+
+    def test_point_cap_covers_the_orbit(self, quad_map, monkeypatch):
+        # the 51 orbit points of level 0 alone pass a cap of 20
+        fm, _ = quad_map
+        monkeypatch.setattr(parabolic, "POINT_CAP", 20)
+        with pytest.raises(PointCapExceeded):
+            enumerate_Q(fm, -0.5, 50, 0)
 
     def test_dedup_keeps_first_provenance(self, quad_map):
         # q = -1/2 is a first preimage of f(q), and f(q) one of f^2(q): the

@@ -1,14 +1,19 @@
 import cmath
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from basinlab import (LiftedPoint, ModelDomain, analyze_parabolic, certify_pair,
                       choose_parameters, cli, corollary_d_closure, distance_exact,
-                      kobayashi, path_length, verifier, verify_theorem)
-from basinlab.errors import NotInBasin, OutsideComparisonDomain
+                      kobayashi, parabolic, path_length, verifier, verify_theorem)
+from basinlab.errors import (ConstructionFailed, NotInBasin, OutsideComparisonDomain,
+                             PointCapExceeded)
 
 
 def _bad_z0(monkeypatch):
@@ -16,6 +21,21 @@ def _bad_z0(monkeypatch):
     choose = verifier.choose_parameters
     monkeypatch.setattr(verifier, "choose_parameters", lambda *a, **kw: dataclasses.replace(
         choose(*a, **kw), z0=-0.5 + 0j, z0_normalized=-1 + 0j))
+
+
+def _theta0_primes():
+    """theta0_prime in hex on z + z^2, z + z^3, z + z^2 + z^3 and z + z^4 at
+    40 values of C in [0.5, 20]; '-' where the recipe fails (C above about
+    11.5)."""
+    out = []
+    for coefficients in ([0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0, 0, 1]):
+        fm, _ = analyze_parabolic(coefficients)
+        for C in np.linspace(0.5, 20.0, 40).tolist():
+            try:
+                out.append(choose_parameters(fm, C).theta0_prime.hex())
+            except ConstructionFailed:
+                out.append("-")
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +97,31 @@ class TestChooseParameters:
 
             want = mpmath.findroot(excess, (vc * 1e-6, vc), solver="anderson") / half
             assert abs(p.theta0_prime - want) <= 1e-14 * want
+
+    def test_C_past_exp_range_is_a_construction_failure(self, quad_map):
+        fm, _ = quad_map
+        with pytest.raises(ConstructionFailed):
+            choose_parameters(fm, 800.0)
+
+    def test_theta0_prime_on_the_avx2_path(self):
+        # numpy's AVX-512 and AVX2 kernels round sinh and arcsinh differently;
+        # theta0_prime is computed in libm alone, so a child process with the
+        # AVX-512 features disabled must give the same bits
+        if "X86_V4" not in np._core._multiarray_umath.__cpu_dispatch__:
+            pytest.skip("no AVX-512 dispatch path to disable")
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(Path(verifier.__file__).resolve().parent.parent),
+                                             str(here), os.environ.get("PYTHONPATH")]))
+        code = ("import numpy as np, test_verifier as t\n"
+                "assert not np._core._multiarray_umath.__cpu_features__['X86_V4']\n"
+                "print(*t._theta0_primes())")
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               cwd=here, check=True,
+                               env={**os.environ, "PYTHONPATH": path,
+                                    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+        got = _theta0_primes()
+        assert sum(h != "-" for h in got) > 80
+        assert child.stdout.split() == got
 
     def test_sector_comparison_for_two_petals(self, cubic_map):
         fm, _ = cubic_map
@@ -335,6 +380,15 @@ class TestClosure:
         fm, _ = quad_map
         rep = corollary_d_closure(fm, small_cert, 0)
         assert rep.n_preimages == 0 and rep.residual_failures == 0
+
+    def test_point_cap(self, quad_map, small_cert, monkeypatch):
+        # depth 3 solves 2 + 4 + 8 = 14 preimages, under a cap of 20; depth 4
+        # would add 16 more
+        fm, _ = quad_map
+        monkeypatch.setattr(parabolic, "POINT_CAP", 20)
+        assert corollary_d_closure(fm, small_cert, 3).n_preimages == 14
+        with pytest.raises(PointCapExceeded):
+            corollary_d_closure(fm, small_cert, 4)
 
     def test_failed_cert_precondition(self, quad_map, monkeypatch):
         fm, _ = quad_map
