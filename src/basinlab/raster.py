@@ -125,16 +125,16 @@ def _classify_pixels(fm: ParabolicMap, xs: np.ndarray, ys: np.ndarray, n_max: in
         perm = [min(range(fm.m), key=lambda i: abs(v[i] - u.conjugate())) for u in v]
         if sorted(perm) != list(range(fm.m)):
             top = ny
-    # only masked pixels become complex: a whole complex grid raises prop3's peak RSS
+    # masked pixels alone are made complex and out comes after: both keep prop3's peak RSS
     x, y = np.broadcast_arrays(xs[None, :], ys[:top, None])
-    out = np.full((ny, nx), _UNCLASSIFIED, dtype=np.int32)
     if mask is None:
-        labels, _ = classify_batch(fm, (x + 1j * y).ravel(), n_max)
-        out[:top] = labels.reshape(top, nx)
+        upper = np.s_[:]
+        labels = classify_batch(fm, (x + 1j * y).ravel(), n_max)[0].reshape(top, nx)
     else:
         upper = mask[:top]
         labels, _ = classify_batch(fm, x[upper] + 1j * y[upper], n_max)
-        out[:top][upper] = labels
+    out = np.full((ny, nx), _UNCLASSIFIED, dtype=np.int32)
+    out[:top][upper] = labels
     if top < ny:
         below = out[:ny - top][::-1]
         if perm != list(range(fm.m)):
