@@ -129,7 +129,8 @@ def _classify_pixels(fm: ParabolicMap, xs: np.ndarray, ys: np.ndarray, n_max: in
     x, y = np.broadcast_arrays(xs[None, :], ys[:top, None])
     if mask is None:
         upper = np.s_[:]
-        labels = classify_batch(fm, (x + 1j * y).ravel(), n_max)[0].reshape(top, nx)
+        labels, _ = classify_batch(fm, (x + 1j * y).ravel(), n_max)
+        labels = labels.reshape(top, nx)
     else:
         upper = mask[:top]
         labels, _ = classify_batch(fm, x[upper] + 1j * y[upper], n_max)

@@ -75,12 +75,11 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
 
     theta0 is half of min(cap, pi/6), cap = 1/(2 C e^C) (ConstructionFailed
     once e^C overflows); the wedge construction at theta0 yields R0_prime and
-    eps = R0_prime e^(-2C/m). theta* = 1.5 theta0 keeps the normalized point
-    at Re > 1/2 below the height 0.9 asin(min(1, cap)), which never binds:
-    0.9 asin(cap) >= 0.9 cap > 0.75 cap = 1.5 theta0 for cap <= pi/6, and
-    0.9 asin(pi/6) = 0.496 > 0.393 = 0.75 pi/6 past it. theta0_prime is the
-    disk clearance at radius C about the normalized point in the unwidened
-    domain (the slit plane, or the sector (0, 2pi/m)).
+    eps = R0_prime e^(-2C/m). theta* = 1.5 theta0 puts z0n = e^(i theta*) at
+    Re > 1/2 below the cap; the bound 0.9 asin(min(1, cap)) never binds, as
+    0.9 asin(cap) >= 0.9 cap > 0.75 cap for cap <= pi/6 and 0.9 asin(pi/6) =
+    0.496 > 0.393 = 0.75 pi/6. theta0_prime is the disk clearance at radius C
+    about z0n in the unwidened domain (the slit plane, or sector (0, 2pi/m)).
     """
     if C <= 0.0:
         raise ValueError("C must be positive")
