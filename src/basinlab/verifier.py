@@ -333,7 +333,7 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
     p, which must be certified (else image_outside_sector), lie within the
     residual tolerance of f(v) and carry a bound >= C (else image_misses).
     The orbit end (k_max, 0) has no image: a frontier skip, not a failure.
-    A level that would take the preimages past POINT_CAP raises first.
+    A level that would take the preimages past POINT_CAP raises PointCapExceeded.
     """
     if not cert.passed:
         return ClosureReport(depth, "precondition_failed")
