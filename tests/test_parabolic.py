@@ -1,12 +1,8 @@
 import dataclasses
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -611,23 +607,10 @@ def _dispatch_digests():
     return digests
 
 
-def test_labels_and_steps_on_the_avx2_path():
-    # numpy's AVX-512 and AVX2 kernels round some functions differently,
-    # np.power among them, which the gate uses for m >= 3; a child process
-    # with the AVX-512 features disabled takes the AVX2 kernels
-    if "X86_V4" not in np._core._multiarray_umath.__cpu_dispatch__:
-        pytest.skip("no AVX-512 dispatch path to disable")
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(Path(parabolic.__file__).resolve().parent.parent),
-                                         str(here), os.environ.get("PYTHONPATH")]))
-    code = ("import numpy as np, test_parabolic as t\n"
-            "assert not np._core._multiarray_umath.__cpu_features__['X86_V4']\n"
-            "print(*t._dispatch_digests())")
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           cwd=here, check=True,
-                           env={**os.environ, "PYTHONPATH": path,
-                                "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
-    assert child.stdout.split() == _dispatch_digests()
+def test_labels_and_steps_on_the_avx2_path(avx2_stdout):
+    # np.power, which the gate uses for m >= 3, rounds differently on the
+    # AVX-512 and AVX2 paths
+    assert avx2_stdout("test_parabolic", "_dispatch_digests()") == _dispatch_digests()
 
 
 class TestLemmaAsymptotics:

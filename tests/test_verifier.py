@@ -1,10 +1,6 @@
 import cmath
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,25 +99,12 @@ class TestChooseParameters:
         with pytest.raises(ConstructionFailed):
             choose_parameters(fm, 800.0)
 
-    def test_theta0_prime_on_the_avx2_path(self):
-        # numpy's AVX-512 and AVX2 kernels round sinh and arcsinh differently;
-        # theta0_prime is computed in libm alone, so a child process with the
-        # AVX-512 features disabled must give the same bits
-        if "X86_V4" not in np._core._multiarray_umath.__cpu_dispatch__:
-            pytest.skip("no AVX-512 dispatch path to disable")
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join(filter(None, [str(Path(verifier.__file__).resolve().parent.parent),
-                                             str(here), os.environ.get("PYTHONPATH")]))
-        code = ("import numpy as np, test_verifier as t\n"
-                "assert not np._core._multiarray_umath.__cpu_features__['X86_V4']\n"
-                "print(*t._theta0_primes())")
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                               cwd=here, check=True,
-                               env={**os.environ, "PYTHONPATH": path,
-                                    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+    def test_theta0_prime_on_the_avx2_path(self, avx2_stdout):
+        # numpy's sinh and arcsinh round differently on the AVX-512 and AVX2
+        # paths; theta0_prime is computed in libm alone, so its bits must agree
         got = _theta0_primes()
         assert sum(h != "-" for h in got) > 80
-        assert child.stdout.split() == got
+        assert avx2_stdout("test_verifier", "_theta0_primes()") == got
 
     def test_sector_comparison_for_two_petals(self, cubic_map):
         fm, _ = cubic_map
