@@ -585,6 +585,40 @@ class QEnumeration:
         return {divmod(int(key), self.l_max + 1): int(n) for key, n in zip(kl, counts)}
 
 
+def _preimage_levels(fm, orbit, l_max, counted, name):
+    """Levels 0..l_max of the preimage trees of a forward orbit (level 0),
+    one preimages_batch call per level, as raw parallel arrays (value,
+    origin, level, up): origin[i] indexes the orbit point value[i] descends
+    from, up[i] is the raw index of f(value[i]) (-1 at the orbit end). With
+    `counted` points charged already, PointCapExceeded (naming `name` and
+    the level) is raised before a level that would take them past POINT_CAP.
+    """
+    frontier, origin = orbit, np.arange(orbit.size)
+    vals, origins, ls = [orbit], [origin], [np.zeros(orbit.size, dtype=int)]
+    for l in range(1, l_max + 1):
+        if counted + frontier.size * fm.degree > POINT_CAP:
+            raise PointCapExceeded(f"{name} passes the point cap of {POINT_CAP} at level l={l}")
+        frontier = preimages_batch(fm, frontier).ravel()
+        origin = np.repeat(origin, fm.degree)
+        vals.append(frontier)
+        origins.append(origin)
+        ls.append(np.full(frontier.size, l))
+        counted += frontier.size
+    value = np.concatenate(vals)
+    # raw point orbit.size + j is a root of f(z) = value[j // deg(f)]
+    up = np.r_[1:orbit.size, -1, np.repeat(np.arange(value.size - frontier.size), fm.degree)]
+    return value, np.concatenate(origins), np.concatenate(ls), up
+
+
+def _residuals(fm, value, level, l_max, target):
+    """|f^level(value) - target| on arrays; step s = 1..l_max maps the points of level >= s."""
+    cur = value.copy()
+    for step in range(1, l_max + 1):
+        live = level >= step
+        cur[live] = fm(cur[live])
+    return np.abs(cur - target)
+
+
 def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
                 direction: int | None = None) -> QEnumeration:
     """Breadth-first preimage expansion of each forward iterate of q.
@@ -597,14 +631,15 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     (the orbit of z is z followed by the orbit of w), and by induction every
     f^{-l}(f^k(q)) lies in the basin of q. No point is classified again.
 
-    Expansion runs level by level: one preimages_batch call solves level l
+    Expansion is _preimage_levels: one preimages_batch call solves level l
     for every k. The result is sorted by (k, l, re, im) and deduplicated by
     one np.unique over the complex grid cells of quantize: points sharing a
     cell keep the first in (k, l, re, im) order, so the result is independent
     of expansion order. A point's parent is the target it was solved from, or
-    the next orbit point, taken through the same cell. Raises
-    PointCapExceeded before any level, the orbit included, that would take
-    the raw count past POINT_CAP: no caller sees part of the levels it asked for.
+    the next orbit point, taken through the same cell; its residual, from
+    _residuals, is |f^l(value) - f^k(q)|. PointCapExceeded comes before the
+    orbit or a level that would pass POINT_CAP, the orbit charged too, so
+    no caller sees part of the levels it asked for.
     """
     if k_max + 1 > POINT_CAP:
         raise PointCapExceeded(f"Q for k_max={k_max} passes the point cap of {POINT_CAP}")
@@ -619,25 +654,8 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
         orbit.append(fm(orbit[-1]))
     orbit = np.array(orbit, dtype=complex)
 
-    # ups[i] is the raw index of f(vals[i]); -1 at the orbit end
-    frontier, frontier_k = orbit, np.arange(k_max + 1)
-    vals, ks, ls = [frontier], [frontier_k], [np.zeros(k_max + 1, dtype=int)]
-    ups = [np.r_[1:k_max + 1, -1]]
-    count = frontier.size  # raw points so far; the frontier is the last frontier.size
-    for l in range(1, l_max + 1):
-        if count + frontier.size * fm.degree > POINT_CAP:
-            raise PointCapExceeded(f"Q for k_max={k_max}, l_max={l_max} passes the point "
-                                   f"cap of {POINT_CAP} at level l={l}")
-        roots = preimages_batch(fm, frontier).ravel()
-        roots_k = np.repeat(frontier_k, fm.degree)
-        vals.append(roots)
-        ks.append(roots_k)
-        ls.append(np.full(roots.size, l))
-        ups.append(np.repeat(np.arange(count - frontier.size, count), fm.degree))
-        count += roots.size
-        frontier, frontier_k = roots, roots_k
-
-    vals, ks, ls, ups = (np.concatenate(x) for x in (vals, ks, ls, ups))
+    vals, ks, ls, ups = _preimage_levels(fm, orbit, l_max, k_max + 1,
+                                         f"Q for k_max={k_max}, l_max={l_max}")
     order = np.lexsort((vals.imag, vals.real, ls, ks))
     # return_index takes a stable sort, so first[c] is cell c's first point in
     # (k, l, re, im) order: that copy is kept, and every copy maps to it
@@ -648,13 +666,6 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     out[order] = np.searchsorted(kept_at, first)[cell]
     vals, ks, ls, parent = vals[kept], ks[kept], ls[kept], out[ups[kept]]
 
-    # Independent residual verification: iterate each point forward its l
-    # steps and compare against the stored orbit target.
-    cur = vals.copy()
-    for step in range(1, l_max + 1):
-        live = ls >= step
-        cur[live] = fm(cur[live])
-    residuals = np.abs(cur - orbit[ks])
-
+    residuals = _residuals(fm, vals, ls, l_max, orbit[ks])
     return QEnumeration(complex(q), label, vals, ks, ls, residuals, parent,
                         k_max, l_max)

@@ -21,12 +21,11 @@ import numpy as np
 
 from . import parabolic
 from .errors import (ConstructionFailed, NonPositiveImaginary, OutsideComparisonDomain,
-                     PointCapExceeded, SmallRealPart)
+                     SmallRealPart)
 from .kobayashi import (DistanceBound, LiftedPoint, ModelDomain, bound_case1,
                         bound_case2_horizontal, chart_distances, kappa_infimum,
                         kobayashi_disk_clearance, lift_angle, wrap_angle)
-from .parabolic import (ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q,
-                        preimages_batch)
+from .parabolic import ParabolicMap, QEnumeration, attraction_vectors, enumerate_Q
 from .petals import PacManConstruction, construct_pacman
 
 _CLOSURE_RESIDUAL_TOL = 1e-8  # |f^d(w) - z0| on preimages w of z0, |f(v) - value[parent]| on Q
@@ -328,34 +327,24 @@ def corollary_d_closure(fm: ParabolicMap, cert: TheoremCertificate,
                         depth: int) -> ClosureReport:
     """Mechanical premises of the preimage-closure argument on computed data.
 
-    Every depth-d preimage of z0 must iterate forward onto z0 within the
-    residual tolerance. A certified point v's image is its recorded parent
-    p, which must be certified (else image_outside_sector), lie within the
-    residual tolerance of f(v) and carry a bound >= C (else image_misses).
-    The orbit end (k_max, 0) has no image: a frontier skip, not a failure.
-    A level that would take the preimages past POINT_CAP raises PointCapExceeded.
+    The preimages of z0 to depth d come from Q's level loop
+    (parabolic._preimage_levels), z0 being an orbit the cap does not charge,
+    and each must iterate onto z0 within the residual tolerance, checked on
+    arrays as Q is (parabolic._residuals); a level that would pass POINT_CAP
+    raises PointCapExceeded first. A certified point v's image is its
+    recorded parent p, which must be certified (else image_outside_sector),
+    lie within the residual tolerance of f(v) and carry a bound >= C (else
+    image_misses). The orbit end (k_max, 0) has no image: a frontier skip, not a failure.
     """
     if not cert.passed:
         return ClosureReport(depth, "precondition_failed")
-    report = ClosureReport(depth, "ok")
     z0 = cert.params.z0
-
-    frontier = np.array([z0], dtype=complex)
-    nodes: list[tuple[int, complex]] = []
-    for level in range(1, depth + 1):
-        if len(nodes) + frontier.size * fm.degree > parabolic.POINT_CAP:
-            raise PointCapExceeded(f"closure depth {depth} passes the point cap at level {level}")
-        frontier = preimages_batch(fm, frontier).ravel()
-        nodes.extend((level, complex(w)) for w in frontier)
-    report.n_preimages = len(nodes)
-    for level, w in nodes:
-        cur = w
-        for _ in range(level):
-            cur = fm(cur)
-        res = abs(cur - z0)
-        report.max_residual = max(report.max_residual, res)
-        if res >= _CLOSURE_RESIDUAL_TOL:
-            report.residual_failures += 1
+    value, _, level, _ = parabolic._preimage_levels(fm, np.array([z0]), depth, 0,
+                                                    f"closure depth {depth}")
+    res = parabolic._residuals(fm, value, level, depth, z0)
+    report = ClosureReport(depth, "ok", n_preimages=value.size - 1,
+                           residual_failures=int(np.count_nonzero(res >= _CLOSURE_RESIDUAL_TOL)),
+                           max_residual=float(res.max()))
 
     # The immediate component is forward invariant inside its sector, so a
     # point whose image leaves the sector was never in it and is out of scope.

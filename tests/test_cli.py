@@ -403,17 +403,17 @@ def test_chart_distance_has_one_owner():
 # when path_length moved to the G7/K15 rule (distance --path), when the chart
 # distance became a sum of two squares (bounds.csv), when kappa_infimum began
 # to round down (the case2 constants in certificate.json) and when the disk
-# clearance moved to dist_uv_arrays (theta0_prime in certificate.json) and
-# when the disk clearance took its closed form (theta0_prime, one ulp). A
-# change to one changes a certificate or a distance, and must be deliberate
-# and stated.
+# clearance moved to dist_uv_arrays (theta0_prime in certificate.json), when
+# the disk clearance took its closed form (theta0_prime, one ulp) and when
+# the closure's residuals moved to arrays (max_residual). A change to one
+# changes a certificate or a distance, and must be deliberate and stated.
 _PINNED = {
     "verify-cubic": (["verify", "--poly", "0,1,0,1", "--C", "2", "--q", "0,0.3",
                       "--kmax", "15", "--lmax", "8", "--dump-bounds"],
                      {"certificate.json": "46b184bb4a235f54", "bounds.csv": "b842f230306dc33e"}),
     "closure-quad": (["closure", "--poly", "0,1,1", "--C", "2", "--q", "-0.5",
                       "--kmax", "20", "--lmax", "10", "--depth", "3"],
-                     {"certificate.json": "9d75e81f033edd87", "closure.json": "3d6ce7fcb1e716f8"}),
+                     {"certificate.json": "9d75e81f033edd87", "closure.json": "04ec6cc36f33af8d"}),
     "verify-double-sector": (["verify", "--poly", "0,1,1,1", "--C", "2", "--q=-0.2",
                               "--kmax", "12", "--lmax", "6", "--dump-bounds"],
                              {"certificate.json": "e3fd605440c6b3b1",
