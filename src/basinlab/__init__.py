@@ -15,7 +15,7 @@ from .petals import (FatouChartValue, PacManConstruction, check_petal_invariance
 from .raster import (RasterGrid, Window, classify_grid, immediate_component,
                      prop3_disjointness, write_image)
 from .verifier import (TheoremCertificate, TheoremParams, choose_parameters,
-                       certify_pair, corollary_d_closure, verify_theorem)
+                       corollary_d_closure, verify_theorem)
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,7 @@ __all__ = [
     "LiftedPoint", "ModelDomain", "OrbitRecord", "OrbitStatus", "PacManConstruction",
     "ParabolicMap", "QEnumeration", "RasterGrid", "TheoremCertificate",
     "TheoremParams", "Window", "analyze_parabolic", "attraction_vectors",
-    "bound_case1", "bound_case2", "bound_case2_horizontal", "certify_pair",
+    "bound_case1", "bound_case2", "bound_case2_horizontal",
     "check_petal_invariance", "choose_parameters", "classify_direction",
     "classify_grid", "construct_pacman", "corollary_d_closure", "density",
     "distance_exact", "enumerate_Q", "estimate_remainder", "fatou_chart",

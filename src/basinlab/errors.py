@@ -53,10 +53,6 @@ class ConstructionFailed(BasinLabError, RuntimeError):
     """Parameter recipe could not produce a valid construction."""
 
 
-class OutsideComparisonDomain(BasinLabError, ValueError):
-    """Enumerated point cannot be certified on the comparison domain."""
-
-
 class PointCapExceeded(BasinLabError, RuntimeError):
     """The enumeration of Q would pass its point cap before reaching (k_max, l_max)."""
 

@@ -2,10 +2,12 @@
 
 Given a target distance C, the recipe picks a gap angle theta0 below the cap
 1/(2 C e^C), certifies a nested wedge construction at that angle, and places
-z0 = eps * e^(i theta*) with eps = R0_prime * exp(-2C/m), so that the radial
-growth bound alone already forces distance >= C to every enumerated point
-outside the inner wedge. Certification itself uses the exact chart distance on
-an elementary comparison domain that contains the immediate basin; domain
+the far point at (epsilon, theta_star) = (R0_prime exp(-2C/m), 1.5 theta0) in
+the frame rotated by `rotation`, where the comparison domain sits; z0 is that
+point in the original frame. The radial growth bound alone then forces
+distance >= C to every enumerated point outside the inner wedge.
+Certification measures the exact chart distance from (epsilon, theta_star)
+on an elementary comparison domain that contains the immediate basin; domain
 monotonicity makes every such value a sound lower bound for the basin
 distance. The classical closed-form bounds are recorded alongside as
 cross-checks.
@@ -20,8 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import parabolic
-from .errors import (ConstructionFailed, NonPositiveImaginary, OutsideComparisonDomain,
-                     SmallRealPart)
+from .errors import ConstructionFailed, NonPositiveImaginary, SmallRealPart
 from .kobayashi import (DistanceBound, LiftedPoint, ModelDomain, bound_case1,
                         bound_case2_horizontal, chart_distances, kappa_infimum,
                         kobayashi_disk_clearance, lift_angle, wrap_angle)
@@ -33,7 +34,8 @@ _CLOSURE_RESIDUAL_TOL = 1e-8  # |f^d(w) - z0| on preimages w of z0, |f(v) - valu
 
 @dataclass(frozen=True)
 class TheoremParams:
-    """Chosen parameters for one certificate run (normalized frame data)."""
+    """Chosen parameters for one certificate run. The far point is
+    (epsilon, theta_star) in polar form in the frame rotated by `rotation`."""
 
     C: float
     m: int
@@ -41,14 +43,23 @@ class TheoremParams:
     theta0: float
     theta0_prime: float
     epsilon: float
-    z0: complex
-    z0_normalized: complex
     theta_star: float
     rotation: float
     comparison_domain: ModelDomain
     pacman: PacManConstruction
     kappa: float
     kappa_constants: dict
+
+    @property
+    def z0(self) -> complex:
+        """The far point in the original frame."""
+        angle = self.rotation + self.theta_star
+        return self.epsilon * complex(math.cos(angle), math.sin(angle))
+
+    @property
+    def z0_normalized(self) -> complex:
+        """The far point's direction e^(i theta_star) in the rotated frame."""
+        return complex(math.cos(self.theta_star), math.sin(self.theta_star))
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,11 +85,14 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
 
     theta0 is half of min(cap, pi/6), cap = 1/(2 C e^C) (ConstructionFailed
     once e^C overflows); the wedge construction at theta0 yields R0_prime and
-    eps = R0_prime e^(-2C/m). theta* = 1.5 theta0 puts z0n = e^(i theta*) at
-    Re > 1/2 below the cap; the bound 0.9 asin(min(1, cap)) never binds, as
-    0.9 asin(cap) >= 0.9 cap > 0.75 cap for cap <= pi/6 and 0.9 asin(pi/6) =
-    0.496 > 0.393 = 0.75 pi/6. theta0_prime is the disk clearance at radius C
-    about z0n in the unwidened domain (the slit plane, or sector (0, 2pi/m)).
+    eps = R0_prime e^(-2C/m). The far point is (eps, theta*) in polar form in
+    the frame rotated by `rotation`, which puts the attracting direction on
+    the ray pi/m; every bound is a distance from that point. theta* = 1.5
+    theta0 puts e^(i theta*) at Re > 1/2 below the cap; the bound
+    0.9 asin(min(1, cap)) never binds, as 0.9 asin(cap) >= 0.9 cap > 0.75 cap
+    for cap <= pi/6 and 0.9 asin(pi/6) = 0.496 > 0.393 = 0.75 pi/6.
+    theta0_prime is the disk clearance at radius C about e^(i theta*) in the
+    unwidened domain (the slit plane, or sector (0, 2pi/m)).
     """
     if C <= 0.0:
         raise ValueError("C must be positive")
@@ -98,8 +112,6 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
     eps = pm.R0_prime * math.exp(-2.0 * C / m)
     theta_star = 1.5 * theta0
     rotation = lift_angle(vs.attraction_args[direction] - math.pi / m, 0.0)
-    z0 = eps * complex(math.cos(rotation + theta_star), math.sin(rotation + theta_star))
-    z0n = complex(math.cos(theta_star), math.sin(theta_star))
 
     opening = math.tau / m
     unwidened = ModelDomain.slit_plane() if m == 1 else ModelDomain.sector(0.0, opening)
@@ -109,11 +121,12 @@ def choose_parameters(fm: ParabolicMap, C: float, direction: int = 0) -> Theorem
         comparison = ModelDomain.double_sector(-theta0, math.tau + theta0)
     else:
         comparison = ModelDomain.sector(-theta0, opening + theta0)
-    theta0_prime = min(kobayashi_disk_clearance(unwidened, z0n, C), 0.999 * theta0)
+    unit_star = complex(math.cos(theta_star), math.sin(theta_star))
+    theta0_prime = min(kobayashi_disk_clearance(unwidened, unit_star, C), 0.999 * theta0)
 
     kappa, c1, c2 = kappa_infimum(m, (0.0, math.pi / (2.0 * m)))
-    return TheoremParams(C, m, direction, theta0, theta0_prime, eps, z0, z0n,
-                         theta_star, rotation, comparison, pm, kappa,
+    return TheoremParams(C, m, direction, theta0, theta0_prime, eps, theta_star,
+                         rotation, comparison, pm, kappa,
                          {"c1": c1, "c2": c2})
 
 
@@ -126,43 +139,14 @@ def _rotated_polar(params: TheoremParams, values) -> tuple[np.ndarray, np.ndarra
 
 
 def certify_points(params: TheoremParams, values: np.ndarray, polar):
-    """Exact comparison-domain distance from z0 to every value, as
-    (distances, inside_mask) of chart_distances in the rotated frame. The
-    values are read through `polar` = _rotated_polar(params, values), which
-    the caller computes once. The least distance over several lifts can only
+    """Exact comparison-domain distance from the far point (epsilon,
+    theta_star) to every value, as (distances, inside_mask) of
+    chart_distances in the frame rotated by `rotation`. The values are read
+    through `polar` = _rotated_polar(params, values), which the caller
+    computes once. The least distance over several lifts can only
     under-state the bound, so it stays sound."""
-    z0 = params.z0 * complex(math.cos(-params.rotation), math.sin(-params.rotation))
-    base = LiftedPoint(abs(z0), lift_angle(math.atan2(z0.imag, z0.real), 0.0))
+    base = LiftedPoint(params.epsilon, params.theta_star)
     return chart_distances(params.comparison_domain, base, *polar)
-
-
-def certify_pair(params: TheoremParams, q_tilde: complex) -> tuple[DistanceBound, dict]:
-    """Certified bound for a single point plus the recorded cross-checks."""
-    values = np.array([q_tilde], dtype=complex)
-    polar = _rotated_polar(params, values)
-    d, ok = certify_points(params, values, polar)
-    if not ok[0]:
-        raise OutsideComparisonDomain(f"{q_tilde} admits no lift into the comparison domain")
-    bound = DistanceBound(float(d[0]), "exact", "chart")
-    return bound, _cross_checks(params, *polar)
-
-
-def _cross_checks(params: TheoremParams, r: np.ndarray, ang: np.ndarray) -> dict:
-    axis = math.pi / params.m
-    on_ray = np.abs(wrap_angle(ang - axis)) < 1e-9
-    out = {
-        "case1": bound_case1(params.epsilon, params.pacman.R0_prime, params.m).value,
-        "case1_applicable": int(np.sum(r >= params.pacman.R0_prime)),
-        "case3": params.C,
-        "case3_applicable": int(np.sum(ang < params.theta0_prime)),
-        "case2": params.kappa * params.C,
-        "case2_applicable": int(np.sum(on_ray)),
-    }
-    try:
-        out["horizontal"] = bound_case2_horizontal(params.z0_normalized, params.C).value
-    except (SmallRealPart, NonPositiveImaginary):  # recorded only when defined
-        out["horizontal"] = None
-    return out
 
 
 @dataclass
@@ -289,13 +273,26 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
         global_min = math.inf
         witness = 0
 
-    crosses = _cross_checks(params, r, ang)
-    case1_mask = certified & (r >= params.pacman.R0_prime)
-    violations = int(np.sum(dist[case1_mask] < crosses["case1"] - 1e-12))
-    case3_mask = certified & (ang < params.theta0_prime)
-    violations += int(np.sum(dist[case3_mask] < params.C - 1e-9))
-
+    # the closed-form cases, each counted where it applies and checked there
+    far = r >= params.pacman.R0_prime
+    narrow = ang < params.theta0_prime
     axis = math.pi / params.m
+    case1 = bound_case1(params.epsilon, params.pacman.R0_prime, params.m).value
+    crosses = {
+        "case1": case1,
+        "case1_applicable": int(np.sum(far)),
+        "case3": params.C,
+        "case3_applicable": int(np.sum(narrow)),
+        "case2": params.kappa * params.C,
+        "case2_applicable": int(np.sum(np.abs(wrap_angle(ang - axis)) < 1e-9)),
+    }
+    try:
+        crosses["horizontal"] = bound_case2_horizontal(params.z0_normalized, params.C).value
+    except (SmallRealPart, NonPositiveImaginary):  # recorded only when defined
+        crosses["horizontal"] = None
+    violations = int(np.sum(dist[certified & far] < case1 - 1e-12))
+    violations += int(np.sum(dist[certified & narrow] < params.C - 1e-9))
+
     offaxis = np.abs(np.sin(ang - axis)) * r > 1e-12
     interior_offaxis = int(np.sum((r < params.pacman.R0_prime) & offaxis))
 

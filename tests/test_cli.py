@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -7,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import basinlab
@@ -407,6 +410,9 @@ def test_chart_distance_has_one_owner():
 # the disk clearance took its closed form (theta0_prime, one ulp) and when
 # the closure's residuals moved to arrays (max_residual). A change to one
 # changes a certificate or a distance, and must be deliberate and stated.
+# Every digest was taken with numpy on its AVX-512 dispatch (X86_V4). On its
+# AVX2 kernels the certificates' bounds round otherwise, and
+# test_pinned_commands_on_the_avx2_path checks them there.
 _PINNED = {
     "verify-cubic": (["verify", "--poly", "0,1,0,1", "--C", "2", "--q", "0,0.3",
                       "--kmax", "15", "--lmax", "8", "--dump-bounds"],
@@ -435,4 +441,57 @@ def test_output_bytes_are_pinned(name, tmp_path):
     argv, digests = _PINNED[name]
     assert cli.main(["--out-dir", str(tmp_path), *argv]) == 0
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in digests}
-    assert got == digests
+    avx512 = np._core._multiarray_umath.__cpu_features__["X86_V4"]
+    assert got == digests, ("digests taken on numpy's AVX-512 dispatch (X86_V4); "
+                            f"this process has X86_V4 = {avx512}")
+
+
+# The certificate commands of _PINNED and two renders on whose maps
+# classify_batch's gate calls np.power, which numpy dispatches: z + z^4
+# (m = 3) and z + z^3 + z^4 (m = 2, with a higher term).
+_DISPATCH_RUNS = {
+    **{name: _PINNED[name][0] for name in ("verify-cubic", "closure-quad", "verify-double-sector")},
+    "render-z4": ["render", "--poly", "0,1,0,0,1", "--width", "1.6", "--res", "256"],
+    "render-z3-z4": ["render", "--poly", "0,1,0,1,1", "--width", "2", "--res", "256",
+                     "--nmax", "4000"],
+}
+
+
+def _dispatch_runs(out_dir):
+    """Run each of _DISPATCH_RUNS into out_dir/<name>, its tables to stdout
+    discarded; returns the names."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, argv in _DISPATCH_RUNS.items():
+            assert cli.main(["--out-dir", str(Path(out_dir) / name), *argv]) == 0
+    return sorted(_DISPATCH_RUNS)
+
+
+def _split_bounds(files):
+    """(the rest, the bounds) of a run's certificate.json and bounds.csv, the
+    bounds being global_min, the witness bound and the CSV's bound column."""
+    cert = json.loads(files.pop("certificate.json"))
+    floats = [cert.pop("global_min"), cert["witness"]["bound"].pop("value")]
+    rows = [line.split(",") for line in files.pop("bounds.csv", b"").decode().splitlines()]
+    floats += [float(row.pop(4)) for row in rows[1:]]
+    return (cert, rows, files), np.array(floats)
+
+
+def test_pinned_commands_on_the_avx2_path(avx2_stdout, tmp_path):
+    # Q, the counts, the exclusions, the verdicts, z0, theta0_prime, the
+    # closure and the rasters must agree bit for bit with numpy's AVX-512
+    # path; the bounds, whose sinh and arcsinh round otherwise, within 1e-15
+    # relative, until each float bound carries a proved error bound
+    assert avx2_stdout("test_cli", f"_dispatch_runs({str(tmp_path / 'avx2')!r})") == \
+        sorted(_DISPATCH_RUNS)
+    _dispatch_runs(tmp_path / "avx512")
+    for name in sorted(_DISPATCH_RUNS):
+        got, want = ({p.name: p.read_bytes() for p in (tmp_path / path / name).iterdir()}
+                     for path in ("avx2", "avx512"))
+        if "certificate.json" not in want:
+            assert got == want, name
+            continue
+        (rest, b), (rest_want, a) = _split_bounds(got), _split_bounds(want)
+        assert rest == rest_want, name
+        finite = np.isfinite(a)
+        assert np.array_equal(b[~finite], a[~finite]), name
+        assert np.all(np.abs(b[finite] - a[finite]) <= 1e-15 * np.abs(a[finite])), name

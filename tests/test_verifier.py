@@ -5,18 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from basinlab import (LiftedPoint, ModelDomain, analyze_parabolic, certify_pair,
+from basinlab import (LiftedPoint, ModelDomain, analyze_parabolic, bound_case1,
                       choose_parameters, cli, corollary_d_closure, distance_exact,
                       kobayashi, parabolic, path_length, verifier, verify_theorem)
-from basinlab.errors import (ConstructionFailed, NotInBasin, OutsideComparisonDomain,
-                             PointCapExceeded)
+from basinlab.errors import ConstructionFailed, NotInBasin, PointCapExceeded
 
 
 def _bad_z0(monkeypatch):
-    """Make verify_theorem place z0 at -0.5, on the orbit of q = -0.5."""
+    """Make verify_theorem place z0 at -0.5, on the orbit of q = -0.5: the far
+    point (epsilon, theta_star) = (0.5, pi) in z + z^2's frame, which is not
+    rotated. R0_prime goes to 1, as case 1 needs epsilon < R0_prime."""
     choose = verifier.choose_parameters
-    monkeypatch.setattr(verifier, "choose_parameters", lambda *a, **kw: dataclasses.replace(
-        choose(*a, **kw), z0=-0.5 + 0j, z0_normalized=-1 + 0j))
+
+    def bad(*a, **kw):
+        p = choose(*a, **kw)
+        return dataclasses.replace(p, epsilon=0.5, theta_star=math.pi,
+                                   pacman=dataclasses.replace(p.pacman, R0_prime=1.0))
+    monkeypatch.setattr(verifier, "choose_parameters", bad)
 
 
 def _theta0_primes():
@@ -107,7 +112,6 @@ class TestChooseParameters:
             assert p.theta0 < p.theta_star < 2.0 * math.pi / p.m - p.theta0
 
     def test_epsilon_recipe_hits_C_exactly(self, quad_map):
-        from basinlab import bound_case1
         fm, _ = quad_map
         for C in (1.0, 2.0, 4.0):
             p = choose_parameters(fm, C)
@@ -159,35 +163,52 @@ class TestChooseParameters:
         assert p.comparison_domain.width == pytest.approx(2 * math.pi + 2 * p.theta0)
 
 
-class TestCertifyPair:
+def _certify(params, values):
+    values = np.asarray(values, dtype=complex)
+    return verifier.certify_points(params, values, verifier._rotated_polar(params, values))
+
+
+class TestCertifyPoints:
     def test_exact_bound_dominates_case1(self, quad_map):
         fm, _ = quad_map
         params = choose_parameters(fm, 2.0)
-        for q in (-0.5, -4.0, -0.25 + 0.1j):
-            bound, crosses = certify_pair(params, q)
-            assert bound.kind == "exact" and bound.method == "chart"
-            assert bound.value >= crosses["case1"] - 1e-12
-            assert crosses["case1"] == pytest.approx(2.0, abs=1e-12)
+        dist, inside = _certify(params, [-0.5, -4.0, -0.25 + 0.1j])
+        case1 = bound_case1(params.epsilon, params.pacman.R0_prime, params.m).value
+        assert inside.all()
+        assert np.all(dist >= case1 - 1e-12)
+        assert case1 == pytest.approx(2.0, abs=1e-12)
 
     def test_self_distance_zero(self, quad_map):
         fm, _ = quad_map
         params = choose_parameters(fm, 2.0)
-        bound, _ = certify_pair(params, params.z0)
-        assert bound.value == pytest.approx(0.0, abs=1e-9)
+        dist, inside = _certify(params, [params.z0])
+        assert inside[0] and dist[0] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("coefficients", [[0, 1, 1], [0, 1, 0, 1], [0, 1, 0, 0, 1]])
+    def test_frame_point_is_exact(self, coefficients):
+        # the far point read in polar form in the rotated frame is the chart's
+        # base point itself, bit for bit, in every direction
+        fm, _ = analyze_parabolic(coefficients)
+        for direction in range(fm.m):
+            for C in (0.5, 2.0, 8.0):
+                p = choose_parameters(fm, C, direction)
+                polar = (np.array([p.epsilon]), np.array([p.theta_star]))
+                dist, inside = verifier.certify_points(p, np.array([p.z0]), polar)
+                assert inside[0] and dist[0] == 0.0, (direction, C)
 
     def test_matches_slit_distance(self, quad_map):
         fm, _ = quad_map
         params = choose_parameters(fm, 2.0)
         q = -0.3 + 0.2j
-        bound, _ = certify_pair(params, q)
+        dist, _ = _certify(params, [q])
         direct = distance_exact(ModelDomain.slit_plane(), params.z0, q).value
-        assert bound.value == pytest.approx(direct, rel=1e-12)
+        assert dist[0] == pytest.approx(direct, rel=1e-12)
 
-    def test_point_without_lift_raises(self, quad_map):
+    def test_point_without_lift_is_outside(self, quad_map):
         # the positive real axis is the slit: no lift of 0.5 lies in the domain
         fm, _ = quad_map
-        with pytest.raises(OutsideComparisonDomain):
-            certify_pair(choose_parameters(fm, 2.0), 0.5)
+        dist, inside = _certify(choose_parameters(fm, 2.0), [0.5])
+        assert not inside[0] and dist[0] == math.inf
 
 
 def _lift_sample(dom, rng):
@@ -245,6 +266,8 @@ class TestVerifyTheorem:
         cert = verify_theorem(fm, 2.0, -0.5, 0, 0, 0)
         assert cert.n_points == 1 and cert.passed
         assert cert.global_min >= 2.0
+        bound = cert.witness()["bound"]
+        assert (bound["kind"], bound["method"]) == ("exact", "chart")
 
     def test_small_truncation_passes(self, small_cert):
         assert small_cert.passed
