@@ -27,11 +27,14 @@ from dataclasses import asdict
 
 from . import kobayashi, petals, raster, verifier
 from .errors import BasinLabError, IoFailure
-from .parabolic import (analyze_parabolic, classify_direction, enumerate_Q,
-                        forward_orbit, parse_polynomial, preimages)
+from .parabolic import (LABEL_ESCAPED, LABEL_UNDECIDED, analyze_parabolic,
+                        classify_direction, enumerate_Q, forward_orbit,
+                        parse_polynomial, preimages)
 
 _OUT_DEFAULT = "out"
 _RES_MAX = 8192
+# orbit.json's status of a label; a direction j >= 0 is "converged"
+_ORBIT_STATUS = {LABEL_ESCAPED: "escaped", LABEL_UNDECIDED: "undecided"}
 
 
 def _checked(convert, ok, requirement: str):
@@ -262,16 +265,14 @@ def _dispatch(args) -> int:
 
     if cmd == "orbit":
         fm, _ = args.poly
-        if args.classify:
-            rec = classify_direction(fm, args.z0, args.n)
-        else:
-            rec = forward_orbit(fm, args.z0, args.n)
+        run = classify_direction if args.classify else forward_orbit
+        label, points = run(fm, args.z0, args.n)
         _write_csv(out_dir, "orbit.csv", "step,re,im",
-                   ((i, z.real, z.imag) for i, z in enumerate(rec.points)))
+                   ((i, z.real, z.imag) for i, z in enumerate(points)))
         _emit({
-            "status": rec.status.value,
-            "direction": rec.direction,
-            "steps": len(rec.points) - 1,
+            "status": _ORBIT_STATUS.get(label, "converged"),
+            "direction": label if label >= 0 else None,
+            "steps": len(points) - 1,
         }, out_dir, "orbit.json")
         return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -105,23 +104,6 @@ class AttractionVectorSet:
         return tuple(lift_angle(cmath.phase(v), 0.0) for v in self.attraction)
 
 
-class OrbitStatus(Enum):
-    CONVERGED = "converged"
-    ESCAPED = "escaped"
-    UNDECIDED = "undecided"
-
-
-@dataclass
-class OrbitRecord:
-    points: list
-    status: OrbitStatus
-    direction: int | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.status is OrbitStatus.CONVERGED
-
-
 def parse_polynomial(text: str) -> list:
     """Parse comma-separated ascending coefficients, e.g. "0,1,0,1"."""
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
@@ -180,41 +162,39 @@ def attraction_vectors(fm: ParabolicMap) -> AttractionVectorSet:
     return AttractionVectorSet(tuple(att), tuple(rep))
 
 
-def forward_orbit(fm: ParabolicMap, z0: complex, n: int) -> OrbitRecord:
-    """Iterate z0 for n steps; halts early with ESCAPED past the escape radius."""
+def forward_orbit(fm: ParabolicMap, z0: complex, n: int) -> tuple[int, list]:
+    """Iterate z0 for n steps: (label, points), points[0] = z0.
+
+    The label is LABEL_ESCAPED at the first iterate that fails
+    abs(z) <= escape_radius, where the orbit stops; an overflow to inf or nan
+    fails it too, as in classify_batch. Otherwise it is LABEL_UNDECIDED.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     pts = [complex(z0)]
     r_esc = fm.escape_radius
-    z = complex(z0)
     for _ in range(n):
-        z = fm(z)
-        pts.append(z)
-        if abs(z) > r_esc:
-            return OrbitRecord(pts, OrbitStatus.ESCAPED)
-    return OrbitRecord(pts, OrbitStatus.UNDECIDED)
+        pts.append(fm(pts[-1]))
+        if not abs(pts[-1]) <= r_esc:
+            return LABEL_ESCAPED, pts
+    return LABEL_UNDECIDED, pts
 
 
-def classify_direction(fm: ParabolicMap, z0: complex, n_max: int) -> OrbitRecord:
-    """Classify the orbit of z0 into an attraction direction with classify_batch.
+def classify_direction(fm: ParabolicMap, z0: complex, n_max: int) -> tuple[int, list]:
+    """Classify the orbit of z0 with classify_batch: (label, points).
 
-    CONVERGED(j) once an iterate lies in a certified absorbing set of
-    direction j, ESCAPED past the escape radius, UNDECIDED after n_max steps.
-    The points are forward_orbit's iteration up to the deciding step, and
-    they are the iterates judged: classify_batch steps a lone start in the
-    same Python complex arithmetic from step 1 on, in whole groups, so the
-    orbit is iterated twice, the second time only up to the deciding step.
+    The label is classify_batch's: a direction j >= 0 once an iterate lies in
+    a certified absorbing set of direction j, LABEL_ESCAPED past the escape
+    radius, LABEL_UNDECIDED after n_max steps. The points are forward_orbit's
+    iteration up to the deciding step, and they are the iterates judged:
+    classify_batch steps a lone start in the same Python complex arithmetic
+    from step 1 on, in whole groups, so the orbit is iterated twice, the
+    second time only up to the deciding step.
     """
     if n_max < 100:
         raise ValueError("n_max must be at least 100")
     labels, steps = classify_batch(fm, [z0], n_max)
-    label = int(labels[0])
-    points = forward_orbit(fm, z0, int(steps[0])).points
-    if label >= 0:
-        return OrbitRecord(points, OrbitStatus.CONVERGED, label)
-    if label == LABEL_ESCAPED:
-        return OrbitRecord(points, OrbitStatus.ESCAPED)
-    return OrbitRecord(points, OrbitStatus.UNDECIDED)
+    return int(labels[0]), forward_orbit(fm, z0, int(steps[0]))[1]
 
 
 def classify_batch(fm: ParabolicMap, points: np.ndarray,
@@ -513,7 +493,8 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
     z = radius[:, None] * 0.9 * np.exp(1j * (angles[None, :] + 0.1))
     target = 1e-13 * np.maximum(1.0, np.abs(ws))
     z = _aberth(fm, z, ws, target, radius)
-    res = np.max(np.abs(fm(z) - ws[:, None]), axis=1)
+    pv = fm(z) - ws[:, None]
+    res = np.max(np.abs(pv), axis=1)
     if not np.all(np.isfinite(z)):
         raise NumericOverflow("root iteration left the range of double precision")
     tol = np.maximum(ROOT_TOL, target)
@@ -524,7 +505,7 @@ def preimages_batch(fm: ParabolicMap, ws: np.ndarray) -> np.ndarray:
 
     dp = fm.derivative(z)
     safe = np.abs(dp) > 1e-280
-    z = np.where(safe, z - (fm(z) - ws[:, None]) / np.where(safe, dp, 1.0), z)
+    z = np.where(safe, z - pv / np.where(safe, dp, 1.0), z)
     order = np.lexsort((z.imag, z.real), axis=-1)
     return np.take_along_axis(z, order, axis=-1)
 
@@ -660,10 +641,11 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
     # return_index takes a stable sort, so first[c] is cell c's first point in
     # (k, l, re, im) order: that copy is kept, and every copy maps to it
     _, first, cell = np.unique(quantize(vals[order]), return_index=True, return_inverse=True)
-    kept_at = np.sort(first)
-    kept = order[kept_at]
+    keep = np.zeros(vals.size, dtype=bool)
+    keep[first] = True
+    kept = order[keep]
     out = np.full(vals.size + 1, -1)  # out[-1] = -1 passes the orbit end on
-    out[order] = np.searchsorted(kept_at, first)[cell]
+    out[order] = (np.cumsum(keep) - 1)[first][cell]  # a kept point's rank among the kept
     vals, ks, ls, parent = vals[kept], ks[kept], ls[kept], out[ups[kept]]
 
     residuals = _residuals(fm, vals, ls, l_max, orbit[ks])

@@ -126,7 +126,6 @@ class PacManConstruction:
 
     theta0: float
     m: int
-    a: complex
     gap_omega: float
     rho0: float
     rho1: float
@@ -136,7 +135,6 @@ class PacManConstruction:
     R0_prime: float
     remainder_bound: float
     tangent_points: dict
-    attraction_args: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,10 +179,9 @@ def construct_pacman(fm: ParabolicMap, theta0: float) -> PacManConstruction:
         "A": rho2 * cmath.exp(1j * (math.pi - gap)),
         "B": complex(rho2, 0.0),
     }
-    vs = attraction_vectors(fm)
-    return PacManConstruction(theta0, m, a, gap, rho0, rho1, rho2,
+    return PacManConstruction(theta0, m, gap, rho0, rho1, rho2,
                               z_radius(rho0), z_radius(rho1), z_radius(rho2),
-                              bound, tangents, vs.attraction_args)
+                              bound, tangents)
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ def check_petal_invariance(fm: ParabolicMap, pm: PacManConstruction,
     """
     from scipy.stats import qmc  # deferred: slow to import, and only this function uses it
 
-    axis = pm.attraction_args[0]
+    axis = attraction_vectors(fm).attraction_args[0]
     half = math.pi / pm.m - pm.theta0
     n_bulk = samples - samples // 10
     eng = qmc.Halton(d=2, scramble=True, seed=np.random.default_rng(seed))

@@ -66,6 +66,16 @@ class TestOrbitAndPreimages:
         lines = (tmp_path / "o" / "orbit.csv").read_text().strip().splitlines()
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("budget", [["--n", "5"], ["--n", "100", "--classify"]])
+    def test_orbit_overflow_escapes_at_step_1(self, tmp_path, budget):
+        # z^3 overflows to nan+nanj at step 1: escaped with or without --classify
+        res = run_cli(["--out-dir", "o", "orbit", "--poly", "0,1,0,1",
+                       "--z0", "1e200,1e200", *budget], tmp_path)
+        assert res.returncode == 0
+        assert json.loads(res.stdout) == {"status": "escaped", "direction": None, "steps": 1}
+        lines = (tmp_path / "o" / "orbit.csv").read_text().strip().splitlines()
+        assert len(lines) == 3 and lines[1] == "0,1e+200,1e+200"
+
     def test_preimages(self, tmp_path):
         res = run_cli(["--out-dir", "o", "preimages", "--poly", "0,1,1",
                        "--w", "-0.5"], tmp_path)

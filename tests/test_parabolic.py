@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basinlab import (OrbitStatus, analyze_parabolic, classify_direction, cli,
-                      enumerate_Q, forward_orbit, parabolic, parse_polynomial, petals,
-                      preimages)
+from basinlab import (analyze_parabolic, classify_direction, cli, enumerate_Q,
+                      forward_orbit, parabolic, parse_polynomial, petals, preimages)
 from basinlab.errors import (LinearMap, NoConvergence, NotInBasin, NotParabolic,
                              NumericOverflow, PointCapExceeded)
 from basinlab.kobayashi import wrap_angle
@@ -95,20 +94,28 @@ class TestAnalyze:
 class TestForwardOrbit:
     def test_exact_prefix(self, quad_map):
         fm, _ = quad_map
-        rec = forward_orbit(fm, -0.5, 3)
-        assert rec.points == [-0.5, -0.25, -0.1875, -39.0 / 256.0]
+        _, points = forward_orbit(fm, -0.5, 3)
+        assert points == [-0.5, -0.25, -0.1875, -39.0 / 256.0]
 
     def test_fixed_point(self, quad_map):
         fm, _ = quad_map
-        rec = forward_orbit(fm, 0, 5)
-        assert rec.points == [0] * 6
-        assert rec.status is OrbitStatus.UNDECIDED
+        label, points = forward_orbit(fm, 0, 5)
+        assert points == [0] * 6
+        assert label == LABEL_UNDECIDED
 
     def test_escape(self, quad_map):
         fm, _ = quad_map
-        rec = forward_orbit(fm, 1, 10)
-        assert rec.status is OrbitStatus.ESCAPED
-        assert abs(rec.points[-1]) > fm.escape_radius
+        label, points = forward_orbit(fm, 1, 10)
+        assert label == LABEL_ESCAPED
+        assert abs(points[-1]) > fm.escape_radius
+
+    def test_overflow_is_escape(self, cubic_map):
+        # z^3 overflows to nan+nanj at step 1, which fails abs(z) <= R as in
+        # classify_batch; the orbit stops there
+        fm, _ = cubic_map
+        label, points = forward_orbit(fm, 1e200 + 1e200j, 5)
+        assert label == LABEL_ESCAPED and len(points) == 2
+        assert classify_direction(fm, 1e200 + 1e200j, 100)[0] == LABEL_ESCAPED
 
 
 class TestEscapeRadius:
@@ -120,38 +127,35 @@ class TestEscapeRadius:
         assert fm.escape_radius == pytest.approx(300.0)
         labels, steps = classify_batch(fm, np.array([-50.0]), 2000)
         assert labels[0] == 0 and steps[0] == 2
-        rec = classify_direction(fm, -50.0, 10 ** 4)
-        assert rec.converged and rec.direction == 0
+        assert classify_direction(fm, -50.0, 10 ** 4)[0] == 0
 
 
 class TestClassifyDirection:
     def test_reference_point(self, quad_map):
         fm, _ = quad_map
-        rec = classify_direction(fm, -0.5, 10 ** 4)
-        assert rec.converged and rec.direction == 0
-        assert abs(rec.points[-1]) < 0.5
+        label, points = classify_direction(fm, -0.5, 10 ** 4)
+        assert label == 0
+        assert abs(points[-1]) < 0.5
 
     def test_spiral_in(self, quad_map):
         fm, _ = quad_map
-        rec = classify_direction(fm, 0.01j, 10 ** 5)
-        assert rec.converged and rec.direction == 0
+        assert classify_direction(fm, 0.01j, 10 ** 5)[0] == 0
 
     def test_two_petal_direction(self, cubic_map):
         fm, vs = cubic_map
-        rec = classify_direction(fm, 0.1j, 10 ** 5)
-        assert rec.converged
-        assert vs.attraction[rec.direction] == pytest.approx(1j / math.sqrt(2))
-        rec2 = classify_direction(fm, -0.1j, 10 ** 5)
-        assert rec2.converged and rec2.direction != rec.direction
+        label, _ = classify_direction(fm, 0.1j, 10 ** 5)
+        assert label >= 0
+        assert vs.attraction[label] == pytest.approx(1j / math.sqrt(2))
+        label2, _ = classify_direction(fm, -0.1j, 10 ** 5)
+        assert label2 >= 0 and label2 != label
 
     def test_fixed_point_undecided(self, quad_map):
         fm, _ = quad_map
-        rec = classify_direction(fm, 0, 1000)
-        assert rec.status is OrbitStatus.UNDECIDED
+        assert classify_direction(fm, 0, 1000)[0] == LABEL_UNDECIDED
 
     def test_escape_status(self, quad_map):
         fm, _ = quad_map
-        assert classify_direction(fm, 2.0, 1000).status is OrbitStatus.ESCAPED
+        assert classify_direction(fm, 2.0, 1000)[0] == LABEL_ESCAPED
 
     @pytest.mark.parametrize("map_name,z0,n_max", [
         ("quad_map", -0.5, 10 ** 4), ("quad_map", 0.01j, 10 ** 5),
@@ -160,11 +164,9 @@ class TestClassifyDirection:
     def test_agrees_with_classify_batch(self, request, map_name, z0, n_max):
         fm, _ = request.getfixturevalue(map_name)
         labels, steps = classify_batch(fm, np.array([z0], dtype=complex), n_max)
-        rec = classify_direction(fm, z0, n_max)
-        status = {LABEL_ESCAPED: OrbitStatus.ESCAPED, LABEL_UNDECIDED: OrbitStatus.UNDECIDED}
-        assert rec.status is status.get(int(labels[0]), OrbitStatus.CONVERGED)
-        assert rec.direction == (int(labels[0]) if rec.converged else None)
-        assert len(rec.points) == int(steps[0]) + 1
+        label, points = classify_direction(fm, z0, n_max)
+        assert type(label) is int and label == labels[0]
+        assert len(points) == int(steps[0]) + 1
 
     @pytest.mark.parametrize("map_name,z0,n_max", [
         ("quad_map", -0.5, 10 ** 4), ("quad_map", 0.01j, 10 ** 5), ("perturbed_map", 0.0007, 1000),
@@ -185,13 +187,13 @@ class TestClassifyDirection:
         petals.membership_petal(fm)
         petals.half_plane_radius(fm)
         seen.clear()
-        rec = classify_direction(fm, z0, n_max)
-        s = len(rec.points) - 1  # the deciding step
+        _, points = classify_direction(fm, z0, n_max)
+        s = len(points) - 1  # the deciding step
         batch, orbit = seen[:-s], seen[-s:]
         assert s > 1 and all(type(z) is complex for z in seen)
         assert len(batch) == min(_GROUP * math.ceil(s / _GROUP), n_max)
-        assert np.array(batch[:s]).tobytes() == np.array(rec.points[:-1]).tobytes()
-        assert np.array(orbit).tobytes() == np.array(rec.points[:-1]).tobytes()
+        assert np.array(batch[:s]).tobytes() == np.array(points[:-1]).tobytes()
+        assert np.array(orbit).tobytes() == np.array(points[:-1]).tobytes()
 
 
 def _grid_points(window, resolution):

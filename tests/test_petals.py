@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from basinlab import (FatouChartValue, analyze_parabolic,
+from basinlab import (FatouChartValue, analyze_parabolic, attraction_vectors,
                       check_petal_invariance, construct_pacman,
                       estimate_remainder, fatou_chart, fatou_chart_inverse)
 from basinlab import petals
@@ -224,7 +224,9 @@ class TestInvariance:
 class TestOneBisection:
     # rho0 and rho2 in full, and a sha256 prefix of repr(dataclasses.astuple(pm))
     # over every field, taken before construct_pacman's bisection moved into
-    # remainder_radius: the membership petals (theta0 0.5) and theta0 0.1
+    # remainder_radius: the membership petals (theta0 0.5) and theta0 0.1.
+    # The fields then held the map's a (third) and attraction_args (last);
+    # they are put back from the map, so the digest covers every field still
     @pytest.mark.parametrize("coeffs,theta0,rho0,rho2,digest", [
         ([0, 1, 1], 0.5, 12.999673724007925, 212.38271156052872, "a2da54417e55a678"),
         ([0, 1, 1], 0.1, 60.99969379973151, 24420.220921810596, "0338df5c12d08219"),
@@ -236,7 +238,9 @@ class TestOneBisection:
         fm, _ = analyze_parabolic(coeffs)
         pm = construct_pacman(fm, theta0)
         assert (pm.rho0, pm.rho2) == (rho0, rho2)
-        assert hashlib.sha256(repr(dataclasses.astuple(pm)).encode()).hexdigest()[:16] == digest
+        fields = dataclasses.astuple(pm)
+        fields = (*fields[:2], fm.a, *fields[2:], attraction_vectors(fm).attraction_args)
+        assert hashlib.sha256(repr(fields).encode()).hexdigest()[:16] == digest
 
     def test_one_loop_for_both_radii(self, quad_map):
         fm, _ = quad_map
