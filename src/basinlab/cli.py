@@ -32,7 +32,6 @@ from .parabolic import (LABEL_ESCAPED, LABEL_UNDECIDED, analyze_parabolic,
                         parse_polynomial, preimages)
 
 _OUT_DEFAULT = "out"
-_RES_MAX = 8192
 # orbit.json's status of a label; a direction j >= 0 is "converged"
 _ORBIT_STATUS = {LABEL_ESCAPED: "escaped", LABEL_UNDECIDED: "undecided"}
 
@@ -55,7 +54,8 @@ _finite = _checked(float, math.isfinite, "a finite number")
 _count = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 # step budgets: classify_batch counts steps in int32
 _budget = _checked(int, lambda n: 0 <= n < 2 ** 31, "an integer in [0, 2^31)")
-_resolution = _checked(int, lambda n: 0 < n <= _RES_MAX, f"an integer in [1, {_RES_MAX}]")
+_resolution = _checked(int, lambda n: 0 < n <= raster.RES_MAX,
+                       f"an integer in [1, {raster.RES_MAX}]")
 _steps = _checked(int, lambda n: n >= 1, "a positive integer")
 _samples = _checked(int, lambda n: n >= 40, "an integer of at least 40")
 _pacman_angle = _checked(float, lambda t: 0.0 < t < math.pi / 6.0, "an angle in (0, pi/6)")
@@ -133,12 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ascending coefficients, e.g. 0,1,1 for z+z^2")
 
     def add_q(sp):
-        """The flags that name Q; --direction defaults to the one q classifies into."""
+        """The flags that name Q; q names its direction."""
         add_poly(sp)
         sp.add_argument("--q", type=_parse_complex, required=True)
         sp.add_argument("--kmax", type=_count, default=20)
         sp.add_argument("--lmax", type=_count, default=10)
-        sp.add_argument("--direction", type=_count, default=None)
 
     def add_certificate(sp):
         add_q(sp)
@@ -214,8 +213,8 @@ def _check_combinations(parser: argparse.ArgumentParser, args) -> None:
     On distance this also replaces args.domain by the ModelDomain it names."""
     if args.command == "orbit" and args.classify and args.n < 100:
         parser.error("--n must be at least 100 with --classify")
-    if args.command == "prop3" and args.stability_check and 2 * args.res > _RES_MAX:
-        parser.error(f"--stability-check doubles --res, which must stay <= {_RES_MAX}")
+    if args.command == "prop3" and args.stability_check and 2 * args.res > raster.RES_MAX:
+        parser.error(f"--stability-check doubles --res, which must stay <= {raster.RES_MAX}")
     if args.command == "distance":
         try:
             args.domain = _domain(args.domain, args.lo, args.hi)
@@ -284,7 +283,7 @@ def _dispatch(args) -> int:
 
     if cmd == "enumerate-q":
         fm, _ = args.poly
-        qe = enumerate_Q(fm, args.q, args.kmax, args.lmax, args.direction)
+        qe = enumerate_Q(fm, args.q, args.kmax, args.lmax)
         _write_csv(out_dir, "q_points.csv", "re,im,k,l,residual",
                    zip(qe.value.real.tolist(), qe.value.imag.tolist(), qe.k.tolist(),
                        qe.l.tolist(), qe.residual.tolist()))
@@ -318,8 +317,7 @@ def _dispatch(args) -> int:
 
     if cmd in ("verify", "closure"):
         fm, _ = args.poly
-        cert = verifier.verify_theorem(fm, args.C, args.q, args.kmax, args.lmax,
-                                       args.direction)
+        cert = verifier.verify_theorem(fm, args.C, args.q, args.kmax, args.lmax)
         # solved before any file is written, so a capped closure writes none
         rep = verifier.corollary_d_closure(fm, cert, args.depth) if cmd == "closure" else None
         _write_json(out_dir, "certificate.json", cert.to_json_dict())

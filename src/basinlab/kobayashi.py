@@ -229,16 +229,12 @@ def chart(domain: ModelDomain, p) -> complex:
 
 @dataclass(frozen=True)
 class DistanceBound:
+    """An exact chart distance, as distance_exact reports it."""
+
     value: float
-    kind: str  # "exact" | "lower_bound"
-    method: str  # chart | case1 | case2 | horizontal | case3 | monotonicity
-    constants: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"value": self.value, "kind": self.kind, "method": self.method}
-        if self.constants is not None:
-            out["constants"] = dict(sorted(self.constants.items()))
-        return out
+        return {"value": self.value, "kind": "exact", "method": "chart"}
 
 
 def dist_uv_arrays(u1, v1, u2, v2):
@@ -264,7 +260,7 @@ def distance_exact(domain: ModelDomain, p1, p2) -> DistanceBound:
     domains, hence equal to the Kobayashi distance."""
     u1, v1 = chart_uv(domain, p1)
     u2, v2 = chart_uv(domain, p2)
-    return DistanceBound(_dist_uv(u1, v1, u2, v2), "exact", "chart")
+    return DistanceBound(_dist_uv(u1, v1, u2, v2))
 
 
 def chart_distances(domain: ModelDomain, p0, r: np.ndarray,
@@ -464,13 +460,12 @@ def geodesic_polyline(domain: ModelDomain, p1, p2, n: int) -> list | np.ndarray:
 # Closed-form lower bounds used by the verifier as cross-checks
 # ---------------------------------------------------------------------------
 
-def bound_case1(eps: float, R: float, m: int) -> DistanceBound:
+def bound_case1(eps: float, R: float, m: int) -> float:
     """Radial growth bound: any path from |z| <= eps to |z| >= R costs at
     least (m/2)(ln R - ln eps) in a sector of opening 2pi/m."""
     if not (0.0 < eps < R):
         raise BadRadii("need 0 < eps < R")
-    value = 0.5 * m * (math.log(R) - math.log(eps))
-    return DistanceBound(value, "lower_bound", "case1")
+    return 0.5 * m * (math.log(R) - math.log(eps))
 
 
 def kappa_infimum(m: int, theta_range: tuple[float, float]) -> tuple[float, float, float]:
@@ -506,18 +501,16 @@ def kappa_infimum(m: int, theta_range: tuple[float, float]) -> tuple[float, floa
 
 
 def bound_case2(z0_tilde: complex, z1_tilde: complex, m: int,
-                theta_range: tuple[float, float]) -> DistanceBound:
+                theta_range: tuple[float, float]) -> float:
     """Log-height bound kappa * |ln Im z' - ln Im z0| for paths confined to
     the sector over theta_range (where density*Im >= kappa pointwise)."""
     if z0_tilde.imag <= 0.0 or z1_tilde.imag <= 0.0:
         raise NonPositiveImaginary("both points need positive imaginary part")
-    kappa, c1, c2 = kappa_infimum(m, theta_range)
-    value = kappa * abs(math.log(z1_tilde.imag) - math.log(z0_tilde.imag))
-    return DistanceBound(value, "lower_bound", "case2",
-                         {"c1": c1, "c2": c2, "kappa": kappa})
+    kappa = kappa_infimum(m, theta_range)[0]
+    return kappa * abs(math.log(z1_tilde.imag) - math.log(z0_tilde.imag))
 
 
-def bound_case2_horizontal(z0_tilde: complex, C: float) -> DistanceBound:
+def bound_case2_horizontal(z0_tilde: complex, C: float) -> float:
     """In-band crossing cost 1/(2 e^C |Im z0|) of reaching the vertical axis
     from a normalized point with Re > 1/2 while the height stays within a
     factor e^C of the start."""
@@ -526,8 +519,7 @@ def bound_case2_horizontal(z0_tilde: complex, C: float) -> DistanceBound:
     y = abs(z0_tilde.imag)
     if y == 0.0:
         raise NonPositiveImaginary("crossing band is empty at zero height")
-    value = 1.0 / (2.0 * math.exp(C) * y)
-    return DistanceBound(value, "lower_bound", "horizontal")
+    return 1.0 / (2.0 * math.exp(C) * y)
 
 
 def kobayashi_disk_clearance(domain: ModelDomain, center, C: float) -> float:

@@ -165,18 +165,27 @@ def attraction_vectors(fm: ParabolicMap) -> AttractionVectorSet:
 def forward_orbit(fm: ParabolicMap, z0: complex, n: int) -> tuple[int, list]:
     """Iterate z0 for n steps: (label, points), points[0] = z0.
 
-    The label is LABEL_ESCAPED at the first iterate that fails
-    abs(z) <= escape_radius, where the orbit stops; an overflow to inf or nan
-    fails it too, as in classify_batch. Otherwise it is LABEL_UNDECIDED.
+    The label is LABEL_ESCAPED at the first iterate that fails classify_batch's
+    escape test, re*re + im*im <= escape_radius^2, where the orbit stops; an
+    overflow to inf or nan fails it too. Otherwise it is LABEL_UNDECIDED.
+    NumericOverflow if escape_radius^2 leaves double range, as in
+    classify_batch; PointCapExceeded before the orbit would hold more than
+    POINT_CAP points.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    try:
+        r_esc2 = fm.escape_radius ** 2
+    except OverflowError:
+        raise NumericOverflow("escape radius squared outside double-precision range") from None
     pts = [complex(z0)]
-    r_esc = fm.escape_radius
-    for _ in range(n):
-        pts.append(fm(pts[-1]))
-        if not abs(pts[-1]) <= r_esc:
+    for _ in range(min(n, POINT_CAP - 1)):
+        z = fm(pts[-1])
+        pts.append(z)
+        if not z.real * z.real + z.imag * z.imag <= r_esc2:
             return LABEL_ESCAPED, pts
+    if n >= POINT_CAP:
+        raise PointCapExceeded(f"an orbit of {n} steps passes the point cap of {POINT_CAP}")
     return LABEL_UNDECIDED, pts
 
 
@@ -600,17 +609,17 @@ def _residuals(fm, value, level, l_max, target):
     return np.abs(cur - target)
 
 
-def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
-                direction: int | None = None) -> QEnumeration:
+def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int) -> QEnumeration:
     """Breadth-first preimage expansion of each forward iterate of q.
 
     q is classified once, by classify_batch in PROBE_STEPS steps, and only
-    its label is read; NotInBasin is raised unless it converges, and into
-    `direction` when one is given. Every enumerated point inherits that
-    direction by provenance: the full basin of an attracting direction is
-    completely invariant, so f(z) = w with w in the basin puts z in it too
-    (the orbit of z is z followed by the orbit of w), and by induction every
-    f^{-l}(f^k(q)) lies in the basin of q. No point is classified again.
+    its label is read: the basins of distinct directions are disjoint, so q
+    names its direction, and NotInBasin is raised unless it converges. Every
+    enumerated point inherits that direction by provenance: the full basin of
+    an attracting direction is completely invariant, so f(z) = w with w in
+    the basin puts z in it too (the orbit of z is z followed by the orbit of
+    w), and by induction every f^{-l}(f^k(q)) lies in the basin of q. No
+    point is classified again.
 
     Expansion is _preimage_levels: one preimages_batch call solves level l
     for every k. The result is sorted by (k, l, re, im) and deduplicated by
@@ -626,9 +635,8 @@ def enumerate_Q(fm: ParabolicMap, q: complex, k_max: int, l_max: int,
         raise PointCapExceeded(f"Q for k_max={k_max} passes the point cap of {POINT_CAP}")
     labels, _ = classify_batch(fm, [q], PROBE_STEPS)
     label = int(labels[0])
-    if label < 0 or direction not in (None, label):
-        target = "any direction" if direction is None else f"direction {direction}"
-        raise NotInBasin(f"q={q} does not classify into {target}")
+    if label < 0:
+        raise NotInBasin(f"q={q} does not classify into any direction")
 
     orbit = [complex(q)]
     for _ in range(k_max):

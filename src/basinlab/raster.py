@@ -17,6 +17,7 @@ from .errors import ConstructionFailed, IoFailure, SeedNotInBasin
 from .parabolic import (LABEL_ESCAPED, LABEL_UNDECIDED, ParabolicMap, attraction_vectors,
                          classify_batch)
 
+RES_MAX = 8192  # most pixels along a grid's wider side
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 # One fixed color per label; directions cycle through the palette.
@@ -59,8 +60,8 @@ class RasterGrid:
 def _grid_shape(window: Window, resolution: int) -> tuple[int, int]:
     """(nx, ny) of the square-pixel grid with `resolution` pixels along the
     window's wider side."""
-    if resolution > 8192:
-        raise ValueError("resolution capped at 8192")
+    if resolution > RES_MAX:
+        raise ValueError(f"resolution capped at {RES_MAX}")
     if window.width >= window.height:
         return resolution, max(1, round(resolution * window.height / window.width))
     return max(1, round(resolution * window.width / window.height)), resolution

@@ -180,7 +180,7 @@ class TheoremCertificate:
             "point": [float(qe.value[i].real), float(qe.value[i].imag)],
             "k": int(qe.k[i]),
             "l": int(qe.l[i]),
-            "bound": DistanceBound(float(self.point_bounds[i]), "exact", "chart").to_json_dict(),
+            "bound": DistanceBound(float(self.point_bounds[i])).to_json_dict(),
         }
 
     def to_json_dict(self) -> dict:
@@ -246,15 +246,15 @@ def _witness_index(dist: np.ndarray, values: np.ndarray, certified: np.ndarray) 
 
 
 def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
-                   l_max: int = 10, direction: int | None = 0) -> TheoremCertificate:
+                   l_max: int = 10) -> TheoremCertificate:
     """Produce a certificate that min over the truncated Q of the exact
     comparison-domain distance from z0 is at least C.
 
-    direction=None certifies the direction q classifies into; enumerate_Q
-    raises NotInBasin when q does not converge into the requested one, and
-    PointCapExceeded when Q would pass its point cap."""
+    The certificate is for the direction q classifies into; enumerate_Q
+    raises NotInBasin when q converges into none, and PointCapExceeded when
+    Q would pass its point cap."""
     t_start = time.perf_counter()
-    qe = enumerate_Q(fm, q, k_max, l_max, direction)
+    qe = enumerate_Q(fm, q, k_max, l_max)
     params = choose_parameters(fm, C, qe.direction)
 
     values = qe.value
@@ -277,7 +277,7 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
     far = r >= params.pacman.R0_prime
     narrow = ang < params.theta0_prime
     axis = math.pi / params.m
-    case1 = bound_case1(params.epsilon, params.pacman.R0_prime, params.m).value
+    case1 = bound_case1(params.epsilon, params.pacman.R0_prime, params.m)
     crosses = {
         "case1": case1,
         "case1_applicable": int(np.sum(far)),
@@ -287,7 +287,7 @@ def verify_theorem(fm: ParabolicMap, C: float, q: complex, k_max: int = 20,
         "case2_applicable": int(np.sum(np.abs(wrap_angle(ang - axis)) < 1e-9)),
     }
     try:
-        crosses["horizontal"] = bound_case2_horizontal(params.z0_normalized, params.C).value
+        crosses["horizontal"] = bound_case2_horizontal(params.z0_normalized, params.C)
     except (SmallRealPart, NonPositiveImaginary):  # recorded only when defined
         crosses["horizontal"] = None
     violations = int(np.sum(dist[certified & far] < case1 - 1e-12))

@@ -33,7 +33,7 @@ def _theorem_a_certificate():
     if "thmA" not in _cache:
         fm, _ = analyze_parabolic([0, 1, 1])
         t0 = time.perf_counter()
-        cert = verify_theorem(fm, 2.0, -0.5, 20, 10, 0)
+        cert = verify_theorem(fm, 2.0, -0.5, 20, 10)
         _cache["thmA"] = (fm, cert, time.perf_counter() - t0)
     return _cache["thmA"]
 
@@ -61,7 +61,7 @@ def test_criterion_01_theorem_a_certificate():
           and cert.cross_check_violations == 0
           and cert.interior_offaxis_points == 0
           and elapsed < 60.0)
-    cert4 = verify_theorem(fm, 4.0, -0.5, 20, 10, 0)
+    cert4 = verify_theorem(fm, 4.0, -0.5, 20, 10)
     ok = ok and cert4.passed and cert4.global_min >= 4.0
     ok = ok and cert4.params.epsilon < cert.params.epsilon
     ok = ok and cert4.params.theta0 < cert.params.theta0
@@ -73,7 +73,7 @@ def test_criterion_01_theorem_a_certificate():
 
 def test_criterion_02_theorem_b_sector_certificate():
     fm, _ = analyze_parabolic([0, 1, 0, 1])
-    cert = verify_theorem(fm, 2.0, 0.3j, 15, 8, 0)
+    cert = verify_theorem(fm, 2.0, 0.3j, 15, 8)
     dom = cert.params.comparison_domain
     ok = (cert.passed and cert.global_min >= 2.0
           and dom.tag == "sector" and abs(dom.width - math.pi) < 1e-12
@@ -199,7 +199,7 @@ def test_criterion_08_bound_soundness():
         R = eps * math.exp(rng.uniform(0.5, 5.0))
         z0 = eps * rng.uniform(0.2, 1.0) * cmath.exp(1j * rng.uniform(0.05, 2 * math.pi - 0.05))
         z1 = R * math.exp(rng.uniform(0.0, 1.0)) * cmath.exp(1j * rng.uniform(0.05, 2 * math.pi - 0.05))
-        margin = distance_exact(SLIT, z0, z1).value - bound_case1(eps, R, 1).value
+        margin = distance_exact(SLIT, z0, z1).value - bound_case1(eps, R, 1)
         worst = min(worst, margin)
 
     theta_range = (0.0, math.pi / 2.0)
@@ -209,7 +209,7 @@ def test_criterion_08_bound_soundness():
         z0 = cmath.exp(1j * th[0])
         z1 = math.exp(rng.uniform(-3, 3)) * cmath.exp(1j * th[1])
         margin = (distance_exact(sec, z0, z1).value
-                  - bound_case2(z0, z1, 1, theta_range).value)
+                  - bound_case2(z0, z1, 1, theta_range))
         worst = min(worst, margin)
 
     for _ in range(1000):  # axis-crossing bound at the recipe's operating point
@@ -220,7 +220,7 @@ def test_criterion_08_bound_soundness():
         z0 = cmath.exp(1j * theta_star)
         y1 = z0.imag * math.exp(rng.uniform(-C, C))
         margin = (distance_exact(SLIT, z0, 1j * y1).value
-                  - bound_case2_horizontal(z0, C).value)
+                  - bound_case2_horizontal(z0, C))
         worst = min(worst, margin)
 
     ok = worst >= -1e-12

@@ -76,6 +76,15 @@ class TestOrbitAndPreimages:
         lines = (tmp_path / "o" / "orbit.csv").read_text().strip().splitlines()
         assert len(lines) == 3 and lines[1] == "0,1e+200,1e+200"
 
+    @pytest.mark.parametrize("budget", [["--n", "5"], ["--n", "100", "--classify"]])
+    def test_orbit_modulus_overflow_escapes_at_step_1(self, tmp_path, budget):
+        # the first iterate is finite, but its modulus is past double range:
+        # re*re + im*im is inf, escaped, where abs() would raise OverflowError
+        res = run_cli(["--out-dir", "o", "orbit", "--poly", "0,1,1",
+                       "--z0", "1.34e154,0.555e154", *budget], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"status": "escaped", "direction": None, "steps": 1}
+
     def test_preimages(self, tmp_path):
         res = run_cli(["--out-dir", "o", "preimages", "--poly", "0,1,1",
                        "--w", "-0.5"], tmp_path)
@@ -234,6 +243,10 @@ _VERIFY = ["--poly", "0,1,1", "--q", "-0.5", "--kmax", "2", "--lmax", "2"]
     ["verify", "--poly", "0,1,1", "--C", "2", "--q", "nan"],
     ["enumerate-q", "--poly", "0,1,1", "--q", "-0.5", "--kmax", "-1"],
     ["orbit", "--poly", "0,1,1", "--z0", "-0.5", "--n", "99", "--classify"],
+    # q names its direction; there is no --direction flag
+    ["enumerate-q", *_VERIFY, "--direction", "0"],
+    ["verify", *_VERIFY, "--C", "2", "--direction", "0"],
+    ["closure", *_VERIFY, "--C", "2", "--direction", "0"],
     [*_PACMAN, "--steps", "0"],
     [*_PACMAN, "--samples", "5"],
     [*_PACMAN, "--seed", "-1"],
@@ -295,6 +308,7 @@ def test_out_dir_file_fails_before_computing(tmp_path, monkeypatch, capsys):
     # a threshold of classify_batch past double range: escape_radius ** 2
     ("verify --poly 0,1,1e-300 --C 2 --q=-1e299 --kmax 2 --lmax 1", "NumericOverflow"),
     ("render --poly 0,1,1e-300 --width 1 --res 8", "NumericOverflow"),
+    ("orbit --poly 0,1,1e-300 --z0 0.1 --n 5", "NumericOverflow"),
     ("prop3 --poly 0,1,1e-200 --R 0.3 --theta0 0.3 --res 16", "NumericOverflow"),
     # ... and |m a| ** 2
     ("verify --poly 0,1,1e200 --C 2 --q=-5e-201 --kmax 2 --lmax 1", "NumericOverflow"),
@@ -330,6 +344,19 @@ def test_capped_q_writes_no_points(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "PointCapExceeded"
     assert not (out / "q_points.csv").exists()
+
+
+def test_capped_orbit_writes_no_points(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(parabolic, "POINT_CAP", 20)
+    out = tmp_path / "o"
+    code = cli.main(["--out-dir", str(out), "orbit", "--poly", "0,1,1", "--z0", "0", "--n", "50"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "PointCapExceeded"
+    assert not out.exists()
+    # an orbit that escapes before the cap is written as before
+    assert cli.main(["--out-dir", str(out), "orbit", "--poly", "0,1,1", "--z0", "2",
+                     "--n", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "escaped"
 
 
 def test_enumerate_q_writes_the_certified_q(tmp_path, capsys):

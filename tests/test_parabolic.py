@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import hashlib
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -109,13 +111,44 @@ class TestForwardOrbit:
         assert label == LABEL_ESCAPED
         assert abs(points[-1]) > fm.escape_radius
 
-    def test_overflow_is_escape(self, cubic_map):
-        # z^3 overflows to nan+nanj at step 1, which fails abs(z) <= R as in
-        # classify_batch; the orbit stops there
+    def test_overflow_is_escape(self, cubic_map, quad_map):
+        # z^3 overflows to nan+nanj at step 1, which fails
+        # re*re + im*im <= R^2 as in classify_batch; the orbit stops there
         fm, _ = cubic_map
         label, points = forward_orbit(fm, 1e200 + 1e200j, 5)
         assert label == LABEL_ESCAPED and len(points) == 2
         assert classify_direction(fm, 1e200 + 1e200j, 100)[0] == LABEL_ESCAPED
+        # a finite iterate whose modulus is past double range escapes too
+        fm, _ = quad_map
+        label, points = forward_orbit(fm, 1.34e154 + 0.555e154j, 5)
+        assert label == LABEL_ESCAPED and len(points) == 2 and cmath.isfinite(points[1])
+
+    def test_stops_at_classify_batch_escape_step(self, quad_map):
+        # starts on the preimage of the escape circle |w| = R, where the first
+        # iterate can pass abs(w) <= R and fail re*re + im*im <= R^2, or the
+        # reverse: the orbit stops at the step where classify_batch escapes
+        fm, _ = quad_map
+        r = fm.escape_radius
+        theta = np.random.default_rng(7).uniform(0.0, math.tau, 2000)
+        starts = preimages_batch(fm, r * np.exp(1j * theta)).ravel().tolist()
+        split = [z for z in starts
+                 if (abs(w := fm(z)) <= r) != (w.real * w.real + w.imag * w.imag <= r * r)]
+        assert len(split) > 100
+        for z in split:
+            label, points = forward_orbit(fm, z, 100)
+            labels, steps = classify_batch(fm, [z], 100)
+            assert label == labels[0] == LABEL_ESCAPED
+            assert len(points) - 1 == steps[0], z
+
+    def test_point_cap(self, quad_map, monkeypatch):
+        fm, _ = quad_map
+        monkeypatch.setattr(parabolic, "POINT_CAP", 20)
+        assert len(forward_orbit(fm, 0, 19)[1]) == 20
+        with pytest.raises(PointCapExceeded):
+            forward_orbit(fm, 0, 20)
+        # an orbit that escapes before the cap returns as it did
+        label, points = forward_orbit(fm, 2.0, 50)
+        assert label == LABEL_ESCAPED and len(points) == 2
 
 
 class TestEscapeRadius:
@@ -758,36 +791,36 @@ class TestPreimagesKernel:
 class TestEnumerateQ:
     def test_first_preimages_kept(self, quad_map):
         fm, _ = quad_map
-        qe = enumerate_Q(fm, -0.5, 0, 1, 0)
+        qe = enumerate_Q(fm, -0.5, 0, 1)
         vals = sorted(qe.value, key=lambda z: (z.real, z.imag))
         assert any(abs(v - (-0.5 + 0.5j)) < 1e-9 for v in vals)
         assert any(abs(v - (-0.5 - 0.5j)) < 1e-9 for v in vals)
 
     def test_forward_only(self, quad_map):
         fm, _ = quad_map
-        qe = enumerate_Q(fm, -0.5, 2, 0, 0)
+        qe = enumerate_Q(fm, -0.5, 2, 0)
         assert sorted(v.real for v in qe.value) == pytest.approx([-0.5, -0.25, -0.1875])
 
     def test_root_only(self, quad_map):
         fm, _ = quad_map
-        qe = enumerate_Q(fm, -0.5, 0, 0, 0)
+        qe = enumerate_Q(fm, -0.5, 0, 0)
         assert list(qe.value) == [-0.5]
 
     def test_not_in_basin_rejected(self, quad_map):
         fm, _ = quad_map
         with pytest.raises(NotInBasin):
-            enumerate_Q(fm, 1.0, 2, 2, 0)
+            enumerate_Q(fm, 1.0, 2, 2)
 
     def test_residual_soundness(self, quad_map):
         # re-verified forward residual, independent of the root finder
         fm, _ = quad_map
-        qe = enumerate_Q(fm, -0.5, 4, 4, 0)
+        qe = enumerate_Q(fm, -0.5, 4, 4)
         assert qe.residual.max() < 1e-8
 
     def test_monotone_in_depth(self, quad_map):
         fm, _ = quad_map
-        shallow = enumerate_Q(fm, -0.5, 3, 2, 0)
-        deep = enumerate_Q(fm, -0.5, 3, 3, 0)
+        shallow = enumerate_Q(fm, -0.5, 3, 2)
+        deep = enumerate_Q(fm, -0.5, 3, 3)
         q = DEDUP_QUANTUM
         deep_keys = {(round(v.real / q), round(v.imag / q)) for v in deep.value}
         missing = [v for v in shallow.value
@@ -796,7 +829,7 @@ class TestEnumerateQ:
 
     def test_pairwise_separation(self, quad_map):
         fm, _ = quad_map
-        qe = enumerate_Q(fm, -0.5, 3, 3, 0)
+        qe = enumerate_Q(fm, -0.5, 3, 3)
         vals = qe.value
         d = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(d, np.inf)
@@ -845,17 +878,16 @@ class TestEnumerateQ:
     def test_direction_resolved_by_probe(self, cubic_map):
         fm, _ = cubic_map
         assert enumerate_Q(fm, -0.3j, 1, 1).direction == 1
-        with pytest.raises(NotInBasin):
-            enumerate_Q(fm, -0.3j, 1, 1, 0)
+        assert list(inspect.signature(enumerate_Q).parameters) == ["fm", "q", "k_max", "l_max"]
 
     def test_point_cap_raises(self, quad_map, monkeypatch):
         # 4 orbit points and 8 first preimages fit under the cap of 20, the
         # 16 second preimages do not
         fm, _ = quad_map
         monkeypatch.setattr(parabolic, "POINT_CAP", 20)
-        assert enumerate_Q(fm, -0.5, 3, 1, 0).value.size <= 20
+        assert enumerate_Q(fm, -0.5, 3, 1).value.size <= 20
         with pytest.raises(PointCapExceeded):
-            enumerate_Q(fm, -0.5, 3, 4, 0)
+            enumerate_Q(fm, -0.5, 3, 4)
 
     def test_point_cap_covers_the_orbit(self, quad_map, monkeypatch):
         # the 51 orbit points of level 0 alone pass a cap of 20
@@ -868,7 +900,7 @@ class TestEnumerateQ:
         # q = -1/2 is a first preimage of f(q), and f(q) one of f^2(q): the
         # copies that come first in (k, l) order are the ones kept
         fm, _ = quad_map
-        qe = enumerate_Q(fm, -0.5, 2, 1, 0)
+        qe = enumerate_Q(fm, -0.5, 2, 1)
         for value, kl in ((-0.5, (0, 0)), (-0.25, (1, 0))):
             i = np.flatnonzero(np.abs(qe.value - value) < 1e-9)
             assert [(int(qe.k[j]), int(qe.l[j])) for j in i] == [kl]
@@ -898,7 +930,7 @@ class TestEnumerateQ:
     def test_csv_round_trip(self, quad_map, tmp_path):
         # enumerate-q writes q_points.csv, one row per point, floats exact
         fm, _ = quad_map
-        qe = enumerate_Q(fm, -0.5, 1, 1, 0)
+        qe = enumerate_Q(fm, -0.5, 1, 1)
         assert cli.main(["--out-dir", str(tmp_path), "enumerate-q", "--poly", "0,1,1",
                          "--q", "-0.5", "--kmax", "1", "--lmax", "1"]) == 0
         lines = (tmp_path / "q_points.csv").read_text().strip().splitlines()

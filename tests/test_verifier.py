@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ def _closure_words():
     """n_preimages, residual_failures and repr(max_residual) of the closure on
     z + z^2 (C = 2, q = -1/2) at depths 3 and 8."""
     fm, _ = analyze_parabolic([0, 1, 1])
-    cert = verify_theorem(fm, 2.0, -0.5, 6, 5, 0)
+    cert = verify_theorem(fm, 2.0, -0.5, 6, 5)
     out = []
     for depth in (3, 8):
         rep = corollary_d_closure(fm, cert, depth)
@@ -82,7 +83,7 @@ def _mp_residuals(fm, value, level, z0, mpmath):
 @pytest.fixture(scope="module")
 def small_cert(quad_map):
     fm, _ = quad_map
-    return verify_theorem(fm, 2.0, -0.5, 6, 5, 0)
+    return verify_theorem(fm, 2.0, -0.5, 6, 5)
 
 
 class TestChooseParameters:
@@ -115,7 +116,7 @@ class TestChooseParameters:
         fm, _ = quad_map
         for C in (1.0, 2.0, 4.0):
             p = choose_parameters(fm, C)
-            assert bound_case1(p.epsilon, p.pacman.R0_prime, p.m).value == pytest.approx(
+            assert bound_case1(p.epsilon, p.pacman.R0_prime, p.m) == pytest.approx(
                 C, abs=1e-12)
 
     @pytest.mark.parametrize("poly", ["quad_map", "cubic_map", "perturbed_map"])
@@ -173,7 +174,7 @@ class TestCertifyPoints:
         fm, _ = quad_map
         params = choose_parameters(fm, 2.0)
         dist, inside = _certify(params, [-0.5, -4.0, -0.25 + 0.1j])
-        case1 = bound_case1(params.epsilon, params.pacman.R0_prime, params.m).value
+        case1 = bound_case1(params.epsilon, params.pacman.R0_prime, params.m)
         assert inside.all()
         assert np.all(dist >= case1 - 1e-12)
         assert case1 == pytest.approx(2.0, abs=1e-12)
@@ -263,7 +264,7 @@ class TestChartDistances:
 class TestVerifyTheorem:
     def test_single_pair_run(self, quad_map):
         fm, _ = quad_map
-        cert = verify_theorem(fm, 2.0, -0.5, 0, 0, 0)
+        cert = verify_theorem(fm, 2.0, -0.5, 0, 0)
         assert cert.n_points == 1 and cert.passed
         assert cert.global_min >= 2.0
         bound = cert.witness()["bound"]
@@ -282,23 +283,23 @@ class TestVerifyTheorem:
     def test_override_detector(self, quad_map, monkeypatch):
         fm, _ = quad_map
         _bad_z0(monkeypatch)
-        cert = verify_theorem(fm, 2.0, -0.5, 2, 1, 0)
+        cert = verify_theorem(fm, 2.0, -0.5, 2, 1)
         assert cert.global_min == pytest.approx(0.0, abs=1e-12)
         assert not cert.passed
         assert cert.cross_checks["horizontal"] is None  # Re z0_normalized = -1
 
     def test_monotone_in_truncation(self, quad_map):
         fm, _ = quad_map
-        m1 = verify_theorem(fm, 2.0, -0.5, 3, 2, 0).global_min
-        m2 = verify_theorem(fm, 2.0, -0.5, 5, 3, 0).global_min
-        m3 = verify_theorem(fm, 2.0, -0.5, 7, 5, 0).global_min
+        m1 = verify_theorem(fm, 2.0, -0.5, 3, 2).global_min
+        m2 = verify_theorem(fm, 2.0, -0.5, 5, 3).global_min
+        m3 = verify_theorem(fm, 2.0, -0.5, 7, 5).global_min
         assert m2 <= m1 + 1e-12
         assert m3 <= m2 + 1e-12
 
     def test_rejects_bad_reference(self, quad_map):
         fm, _ = quad_map
         with pytest.raises(NotInBasin):
-            verify_theorem(fm, 1.0, 0.5, 2, 2, 0)
+            verify_theorem(fm, 1.0, 0.5, 2, 2)
 
     def test_bound_below_any_polyline(self, small_cert, quad_map):
         # spot-check: recorded bound <= length of arbitrary polylines joining
@@ -329,7 +330,7 @@ class TestVerifyTheorem:
 
     def test_witness_on_the_acceptance_certificates(self, quad_map, cubic_map):
         for fm, q, k, l in ((quad_map[0], -0.5, 20, 10), (cubic_map[0], 0.3j, 15, 8)):
-            cert = verify_theorem(fm, 2.0, q, k, l, 0)
+            cert = verify_theorem(fm, 2.0, q, k, l)
             args = cert.point_bounds, cert.enumeration.value, cert.certified_mask
             assert cert.witness_index == self._lexsort_witness(*args)
             assert cert.point_bounds[cert.witness_index] == cert.global_min
@@ -390,9 +391,17 @@ class TestVerifyTheorem:
 
 
 class TestTwoPetalCertificate:
+    def test_q_names_the_direction(self, cubic_map):
+        # -0.3i lies in the basin of direction 1, and that is the direction
+        # certified; there is no direction argument to disagree with it
+        fm, _ = cubic_map
+        cert = verify_theorem(fm, 2.0, -0.3j, 3, 3)
+        assert cert.passed and cert.params.direction == 1
+        assert "direction" not in inspect.signature(verify_theorem).parameters
+
     def test_immediate_basin_exclusions(self, cubic_map):
         fm, _ = cubic_map
-        cert = verify_theorem(fm, 1.0, 0.3j, 4, 3, 0)
+        cert = verify_theorem(fm, 1.0, 0.3j, 4, 3)
         assert cert.passed
         # lower half-plane preimages are direction-0 basin points but lie
         # outside the immediate component, hence outside the sector
@@ -477,7 +486,7 @@ class TestClosure:
         # worst distance over the tree, 9.5e-15 on quad and 4.7e-14 on cubic
         mpmath = pytest.importorskip("mpmath")
         fm, _ = analyze_parabolic(coefficients)
-        cert = verify_theorem(fm, 2.0, q, 4, 3, 0)
+        cert = verify_theorem(fm, 2.0, q, 4, 3)
         assert cert.passed
         residuals, seen = parabolic._residuals, {}
 
@@ -507,6 +516,6 @@ class TestClosure:
     def test_failed_cert_precondition(self, quad_map, monkeypatch):
         fm, _ = quad_map
         _bad_z0(monkeypatch)
-        bad = verify_theorem(fm, 2.0, -0.5, 2, 1, 0)
+        bad = verify_theorem(fm, 2.0, -0.5, 2, 1)
         rep = corollary_d_closure(fm, bad, 2)
         assert rep.status == "precondition_failed"
